@@ -6,8 +6,8 @@
       rows printed here are the reproduction artifacts recorded in
       EXPERIMENTS.md;
    2. Bechamel micro-benchmarks of the real kernels (one group per
-      experiment, the refactoring forms of Algorithms 2-4, and the
-      ragged-vs-CSR layout comparison), run on this machine.
+      experiment and the refactoring forms of Algorithms 2-4), run on
+      this machine.
 
    Modes:
    - no arguments: part 1 followed by part 2 and the
@@ -111,57 +111,6 @@ let bench_cases () =
           Operators.tangential_velocity m ~u:state.u ~out:diag.v_tangential );
       ( "pattern instances (real kernels)", "A4/X6 reconstruct",
         fun () -> Reconstruct.run recon m ~u:state.u ~out:recon_out );
-    ]
-  in
-  (* Same kernel, ragged [int array array] walk vs packed CSR walk
-     (tentpole of the flat-layout work; EXPERIMENTS.md "Memory
-     layout").  Pairs share inputs, so the ns/run ratio is the layout
-     speedup. *)
-  let layout =
-    [
-      ( "layout (ragged vs CSR)", "A1 tend_h ragged",
-        fun () ->
-          Operators.Ragged.tend_h m ~h_edge:diag.h_edge ~u:state.u
-            ~out:tend.tend_h );
-      ( "layout (ragged vs CSR)", "A1 tend_h csr",
-        fun () ->
-          Operators.tend_h m ~h_edge:diag.h_edge ~u:state.u ~out:tend.tend_h );
-      ( "layout (ragged vs CSR)", "B1 tend_u ragged",
-        fun () ->
-          Operators.Ragged.tend_u m ~gravity:cfg.gravity ~h:state.h ~b
-            ~ke:diag.ke ~h_edge:diag.h_edge ~u:state.u ~pv_edge:diag.pv_edge
-            ~out:tend.tend_u );
-      ( "layout (ragged vs CSR)", "B1 tend_u csr",
-        fun () ->
-          Operators.tend_u m ~gravity:cfg.gravity ~h:state.h ~b ~ke:diag.ke
-            ~h_edge:diag.h_edge ~u:state.u ~pv_edge:diag.pv_edge
-            ~out:tend.tend_u );
-      ( "layout (ragged vs CSR)", "A2 kinetic_energy ragged",
-        fun () -> Operators.Ragged.kinetic_energy m ~u:state.u ~out:diag.ke );
-      ( "layout (ragged vs CSR)", "A2 kinetic_energy csr",
-        fun () -> Operators.kinetic_energy m ~u:state.u ~out:diag.ke );
-      ( "layout (ragged vs CSR)", "A3 divergence ragged",
-        fun () -> Operators.Ragged.divergence m ~u:state.u ~out:diag.divergence );
-      ( "layout (ragged vs CSR)", "A3 divergence csr",
-        fun () -> Operators.divergence m ~u:state.u ~out:diag.divergence );
-      ( "layout (ragged vs CSR)", "D1 vorticity ragged",
-        fun () -> Operators.Ragged.vorticity m ~u:state.u ~out:diag.vorticity );
-      ( "layout (ragged vs CSR)", "D1 vorticity csr",
-        fun () -> Operators.vorticity m ~u:state.u ~out:diag.vorticity );
-      ( "layout (ragged vs CSR)", "E pv_cell ragged",
-        fun () ->
-          Operators.Ragged.pv_cell m ~pv_vertex:diag.pv_vertex
-            ~out:diag.pv_cell );
-      ( "layout (ragged vs CSR)", "E pv_cell csr",
-        fun () ->
-          Operators.pv_cell m ~pv_vertex:diag.pv_vertex ~out:diag.pv_cell );
-      ( "layout (ragged vs CSR)", "G tangential ragged",
-        fun () ->
-          Operators.Ragged.tangential_velocity m ~u:state.u
-            ~out:diag.v_tangential );
-      ( "layout (ragged vs CSR)", "G tangential csr",
-        fun () ->
-          Operators.tangential_velocity m ~u:state.u ~out:diag.v_tangential );
     ]
   in
   let model_original = Model.init ~engine:Timestep.original Williamson.Tc5 m in
@@ -340,7 +289,7 @@ let bench_cases () =
        fun () -> ignore (Mpas_core.Experiments.ablation_residency ()));
     ]
   in
-  refactoring @ operators @ layout @ steps @ runtime @ ensemble @ serving
+  refactoring @ operators @ steps @ runtime @ ensemble @ serving
   @ experiments
 
 let group_names cases =

@@ -4,7 +4,7 @@
    1. registry inference — every Table I instance's inferred
       read/write sets (shadow instrumentation through the runtime's
       own compiled closures) must match its declarations, in CSR
-      fast-path, ragged and split-part modes;
+      full-range, index-set and split-part modes;
    2. bounds audit — every unsafe-indexed site of the CSR kernels must
       be discharged by the mesh's validated CSR invariants;
    3. schedule races — compiled phase programs for each placement plan

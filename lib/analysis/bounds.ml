@@ -646,28 +646,6 @@ let fused_catalog =
         site (k "pv_edge_chain") Edges "v_tangential" Field `Get Iter;
         site (k "pv_edge_chain") Edges "out" Field `Set Iter;
       ];
-      (* pv_cell_range: E *)
-      cell_row (k "pv_cell_range") [ "cell_vertices" ];
-      [
-        site (k "pv_cell_range") Cells "vertex_cells" Csr_table `Get
-          (Loaded_stride
-             { table = "cell_vertices"; space = Vertices; width = 3 });
-        site (k "pv_cell_range") Cells "vertex_kite_areas" Csr_table `Get
-          (Loaded_stride
-             { table = "cell_vertices"; space = Vertices; width = 3 });
-        via (k "pv_cell_range") Cells "pv_vertex" "cell_vertices" Vertices;
-        site (k "pv_cell_range") Cells "area_cell" Geometry `Get Iter;
-        site (k "pv_cell_range") Cells "out" Field `Set Iter;
-      ];
-      (* next_substep_range: X3 over both spaces *)
-      [
-        site (k "next_substep_range") Cells "base_h" Field `Get Iter;
-        site (k "next_substep_range") Cells "tend_h" Field `Get Iter;
-        site (k "next_substep_range") Cells "provis_h" Field `Set Iter;
-        site (k "next_substep_range") Edges "base_u" Field `Get Iter;
-        site (k "next_substep_range") Edges "tend_u" Field `Get Iter;
-        site (k "next_substep_range") Edges "provis_u" Field `Set Iter;
-      ];
     ]
 
 let catalog = catalog @ strided_catalog @ fused_catalog

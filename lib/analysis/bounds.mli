@@ -12,6 +12,11 @@
     at kernel entry; those appear as explicit [Guarded_len]
     assumptions on the verdict rather than CSR invariants.
 
+    Each kernel's body runs under two loop headers, the full range and
+    the [?on] index set; an index-set entry is confined to the loop
+    space by the kernel's entry scan ([check_on]), so the loop variable
+    of either header satisfies the same shapes.
+
     The member-batched ensemble kernels of [Mpas_swe.Strided] are
     catalogued the same way (kernel names prefixed ["strided."]):
     their panelled slab accesses

@@ -249,11 +249,11 @@ let spec_footprints t (spec : Spec.t) =
 
 (* --- registry diff ----------------------------------------------------- *)
 
-type mode = Csr | Ragged | Parts of float
+type mode = Csr | Index_set | Parts of float
 
 let mode_name = function
   | Csr -> "csr"
-  | Ragged -> "ragged"
+  | Index_set -> "index-set"
   | Parts f -> Printf.sprintf "parts(%g)" f
 
 type violation =
@@ -301,7 +301,7 @@ let slots_of_var (inst : Pattern.instance) ~final ~write v =
 
 let parts_of_mode = function
   | Csr -> [ None ]
-  | Ragged -> [ Some (0., 1.) ]
+  | Index_set -> [ Some (0., 1.) ]
   | Parts f ->
       let f = Float.max 0.05 (Float.min 0.95 f) in
       [ Some (0., f); Some (f, 1.) ]
@@ -516,7 +516,7 @@ let check_fused_spec ?(modes = default_fused_modes) t =
         (Array.to_list p.Spec.tasks))
     [ (false, `Early, spec.Spec.early); (true, `Final, spec.Spec.final) ]
 
-let default_modes = [ Csr; Ragged; Parts 0.4 ]
+let default_modes = [ Csr; Index_set; Parts 0.4 ]
 
 let check_registry ?(modes = default_modes) t =
   let spec = Spec.build ~recon:true () in

@@ -4,6 +4,33 @@ let half = Const 0.5
 
 let mean_cells field = Mul (half, Add (Cell1 (Field field), Cell2 (Field field)))
 
+(* Every product is written left-nested, in the operand order of the
+   handwritten kernel: the executor then evaluates the same float
+   operations in the same order, so its output is bitwise equal. *)
+let prod = function
+  | [] -> invalid_arg "Library.prod: empty product"
+  | x :: rest -> List.fold_left (fun acc y -> Mul (acc, y)) x rest
+
+(* [(-(sum over the cell's edges of sign * terms * dv)) / area]: the
+   flux divergence shape shared by A1 and the tracer tendency. *)
+let neg_flux_div terms =
+  Div
+    ( Neg (Sum (Edges_of_cell, prod ((Coef :: terms) @ [ Geom Dv ]))),
+      Geom Area_cell )
+
+(* B1: perp flux with PV average [q] minus the energy gradient. *)
+let tend_u_body ~gravity q =
+  let energy =
+    Add (Mul (Const gravity, Add (Field "h", Field "b")), Field "ke")
+  in
+  Sub
+    ( Sum (Edges_of_edge, prod [ Coef; Field "u"; Field "h_edge"; q ]),
+      Div (Sub (Cell2 energy, Cell1 energy), Geom Dc) )
+
+let b1_reads =
+  [ ("u", Edges); ("h", Cells); ("b", Cells); ("ke", Cells);
+    ("h_edge", Edges); ("pv_edge", Edges) ]
+
 let specs ~gravity ~apvm_dt =
   [
     ( "A3 divergence",
@@ -13,7 +40,7 @@ let specs ~gravity ~apvm_dt =
         reads = [ ("u", Edges) ];
         body =
           Div
-            ( Sum (Edges_of_cell, Mul (Coef, Mul (Field "u", Geom Dv))),
+            ( Sum (Edges_of_cell, prod [ Coef; Field "u"; Geom Dv ]),
               Geom Area_cell );
       } );
     ( "A1 tend_h",
@@ -21,14 +48,7 @@ let specs ~gravity ~apvm_dt =
         kernel_name = "A1 tend_h";
         out_space = Cells;
         reads = [ ("u", Edges); ("h_edge", Edges) ];
-        body =
-          Neg
-            (Div
-               ( Sum
-                   ( Edges_of_cell,
-                     Mul (Coef, Mul (Field "h_edge", Mul (Field "u", Geom Dv)))
-                   ),
-                 Geom Area_cell ));
+        body = neg_flux_div [ Field "h_edge"; Field "u" ];
       } );
     ( "A2 kinetic energy",
       {
@@ -39,10 +59,8 @@ let specs ~gravity ~apvm_dt =
           Div
             ( Sum
                 ( Edges_of_cell,
-                  Mul
-                    ( Const 0.25,
-                      Mul (Geom Dc, Mul (Geom Dv, Mul (Field "u", Field "u")))
-                    ) ),
+                  prod [ Const 0.25; Geom Dc; Geom Dv; Field "u"; Field "u" ]
+                ),
               Geom Area_cell );
       } );
     ( "H2 d2fdx2",
@@ -81,7 +99,7 @@ let specs ~gravity ~apvm_dt =
         reads = [ ("u", Edges) ];
         body =
           Div
-            ( Sum (Edges_of_vertex, Mul (Coef, Mul (Field "u", Geom Dc))),
+            ( Sum (Edges_of_vertex, prod [ Coef; Field "u"; Geom Dc ]),
               Geom Area_triangle );
       } );
     ( "C2 h_vertex",
@@ -152,9 +170,9 @@ let specs ~gravity ~apvm_dt =
                     ( Mul (Field "u", Field "grad_pv_n"),
                       Mul (Field "v", Field "grad_pv_t") ) ) );
       } );
-    ( "C1 dissipation term",
+    ( "C1 velocity_laplacian",
       {
-        kernel_name = "C1 dissipation term";
+        kernel_name = "C1 velocity_laplacian";
         out_space = Edges;
         reads = [ ("divergence", Cells); ("vorticity", Vertices) ];
         body =
@@ -170,28 +188,31 @@ let specs ~gravity ~apvm_dt =
       {
         kernel_name = "B1 tend_u";
         out_space = Edges;
-        reads =
-          [ ("u", Edges); ("h", Cells); ("b", Cells); ("ke", Cells);
-            ("h_edge", Edges); ("pv_edge", Edges) ];
+        reads = b1_reads;
         body =
-          (let energy =
-             Add (Mul (Const gravity, Add (Field "h", Field "b")), Field "ke")
-           in
-           Sub
-             ( Sum
-                 ( Edges_of_edge,
-                   Mul
-                     ( Coef,
-                       Mul
-                         ( Field "u",
-                           Mul
-                             ( Field "h_edge",
-                               Mul
-                                 ( half,
-                                   Add
-                                     ( Outer (Field "pv_edge"),
-                                       Field "pv_edge" ) ) ) ) ) ),
-               Div (Sub (Cell2 energy, Cell1 energy), Geom Dc) ));
+          tend_u_body ~gravity
+            (Mul (half, Add (Outer (Field "pv_edge"), Field "pv_edge")));
+      } );
+    ( "B1 tend_u (edge-only)",
+      {
+        kernel_name = "B1 tend_u (edge-only)";
+        out_space = Edges;
+        reads = b1_reads;
+        body = tend_u_body ~gravity (Outer (Field "pv_edge"));
+      } );
+    ( "tracer_edge (centered)",
+      {
+        kernel_name = "tracer_edge (centered)";
+        out_space = Edges;
+        reads = [ ("tracer", Cells) ];
+        body = mean_cells "tracer";
+      } );
+    ( "tend_tracer",
+      {
+        kernel_name = "tend_tracer";
+        out_space = Cells;
+        reads = [ ("u", Edges); ("h_edge", Edges); ("tracer_edge", Edges) ];
+        body = neg_flux_div [ Field "h_edge"; Field "tracer_edge"; Field "u" ];
       } );
   ]
 

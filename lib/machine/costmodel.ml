@@ -94,20 +94,20 @@ let instance_time (d : Hw.device) p flags ~irregular ?(stencil = true)
   let overhead = if flags.multithread then p.region_overhead_s else 0. in
   Float.max t_compute t_mem +. overhead
 
-let instance_time_by_id ?layout d p flags stats id =
+let instance_time_by_id d p flags stats id =
   let inst = Registry.instance id in
   let stencil =
     match inst.Pattern.kind with Pattern.Stencil _ -> true | Pattern.Local -> false
   in
   instance_time d p flags ~irregular:inst.Pattern.irregular ~stencil
-    (Cost.instance_work ?layout stats id)
+    (Cost.instance_work stats id)
 
-let kernel_time ?layout d p flags stats kernel =
+let kernel_time d p flags stats kernel =
   let calls = float_of_int (Cost.kernel_calls_per_step kernel) in
   let one_call =
     List.fold_left
       (fun t (inst : Pattern.instance) ->
-        t +. instance_time_by_id ?layout d p flags stats inst.Pattern.id)
+        t +. instance_time_by_id d p flags stats inst.Pattern.id)
       0.
       (Registry.of_kernel kernel)
   in
@@ -122,7 +122,7 @@ let kernel_time ?layout d p flags stats kernel =
   in
   calls *. Float.max 0. (one_call -. fused_saving)
 
-let step_time_single_device ?layout d p flags stats =
+let step_time_single_device d p flags stats =
   List.fold_left
-    (fun acc kernel -> acc +. kernel_time ?layout d p flags stats kernel)
+    (fun acc kernel -> acc +. kernel_time d p flags stats kernel)
     0. Pattern.all_kernels

@@ -67,13 +67,8 @@ val instance_time :
   Hw.device -> params -> flags -> irregular:bool -> ?stencil:bool ->
   Cost.work -> float
 
-(** Time of a whole pattern-instance by id on the given mesh.
-    [?layout] picks the connectivity layout the byte counts assume
-    (default {!Cost.Csr}, matching the packed view the engine runs);
-    {!Cost.Ragged} adds the boxed-row-pointer traffic of the
-    [int array array] tables. *)
+(** Time of a whole pattern-instance by id on the given mesh. *)
 val instance_time_by_id :
-  ?layout:Cost.layout ->
   Hw.device -> params -> flags -> Cost.mesh_stats -> string -> float
 
 (** Roofline time of all of one kernel's invocations in one RK-4 step
@@ -83,12 +78,10 @@ val instance_time_by_id :
     rows of the measured-vs-modelled report ([Mpas_obs_report.Report])
     come from here. *)
 val kernel_time :
-  ?layout:Cost.layout ->
   Hw.device -> params -> flags -> Cost.mesh_stats -> Pattern.kernel -> float
 
 (** One full RK-4 step run entirely on one device (no hybrid overlap):
     sum of {!kernel_time} over the six kernels.  This is the quantity
     behind Figure 6. *)
 val step_time_single_device :
-  ?layout:Cost.layout ->
   Hw.device -> params -> flags -> Cost.mesh_stats -> float

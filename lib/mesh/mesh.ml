@@ -254,7 +254,7 @@ module Csr = struct
     check_flat "cell_edge_signs" c.cell_edge_signs c.cell_offsets;
     check_flat "eoe_edges" c.eoe_edges c.eoe_offsets;
     check_flat "eoe_weights" c.eoe_weights c.eoe_offsets;
-    (* Ragged mesh tables the CSR view was flattened from. *)
+    (* The row-per-entity mesh tables the CSR view was flattened from. *)
     check_rows "edges_on_cell" t.edges_on_cell (fun i -> t.n_edges_on_cell.(i));
     check_rows "cells_on_cell" t.cells_on_cell (fun i -> t.n_edges_on_cell.(i));
     check_rows "vertices_on_cell" t.vertices_on_cell (fun i ->

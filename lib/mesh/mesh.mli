@@ -33,7 +33,7 @@ type geometry =
   | Plane of { lx : float; ly : float }  (** doubly periodic box *)
 
 (** Packed compressed-sparse-row view of the connectivity, built once
-    per mesh (see {!csr}).  Ragged families with a variable row width
+    per mesh (see {!csr}).  Families with a variable row width
     (the per-cell and edges-on-edge tables) are [offsets]/[data] pairs:
     row [i] of table [x] occupies [x.(offsets.(i)) ..
     x.(offsets.(i+1) - 1)].  Fixed-degree families are flat with an

@@ -13,7 +13,7 @@ type row = {
 type t = { device : string; steps : int; rows : row list }
 
 let make ?(device = Hw.xeon_e5_2680_v2) ?(params = Costmodel.default_params)
-    ?(flags = Costmodel.baseline) ?layout ~stats ~steps measured =
+    ?(flags = Costmodel.baseline) ~stats ~steps measured =
   if steps < 1 then invalid_arg "Report.make: steps must be >= 1";
   let rows =
     List.map
@@ -23,7 +23,7 @@ let make ?(device = Hw.xeon_e5_2680_v2) ?(params = Costmodel.default_params)
           match List.assoc_opt name measured with Some s -> s | None -> 0.
         in
         let measured_s = total /. float_of_int steps in
-        let modelled_s = Costmodel.kernel_time ?layout device params flags stats kernel in
+        let modelled_s = Costmodel.kernel_time device params flags stats kernel in
         {
           kernel = name;
           calls_per_step = Cost.kernel_calls_per_step kernel;

@@ -30,13 +30,11 @@ type t = {
     kernel names to total measured seconds over [steps] steps; kernels
     absent from the list report 0 measured time.  Defaults: the
     paper's Xeon E5-2680 v2, default parameters, [Costmodel.baseline]
-    flags (matching a serial, single-thread measurement run) and the
-    CSR layout the engine executes. *)
+    flags (matching a serial, single-thread measurement run). *)
 val make :
   ?device:Hw.device ->
   ?params:Costmodel.params ->
   ?flags:Costmodel.flags ->
-  ?layout:Mpas_patterns.Cost.layout ->
   stats:Mpas_patterns.Cost.mesh_stats ->
   steps:int ->
   (string * float) list ->

@@ -53,20 +53,7 @@ let w ~items ~flops_per ~dbl_per ~idx_per =
     bytes = (float_of_int items *. ((dbl_per *. 8.) +. (idx_per *. 4.)));
   }
 
-type layout = Ragged | Csr
-
-(* Ragged row-pointer dereferences per output item: each inner gather
-   loop first loads the row's [int array array] slot (a boxed-array
-   pointer, 8 bytes) before it can index the row.  The packed CSR view
-   replaces them with the offset lookups already counted in the index
-   traffic, so [Csr] adds nothing. *)
-let ragged_rows_per_item = function
-  | "A1" | "A3" | "H2" | "C1" | "D1" | "C2" | "G" | "H1" | "A4" -> 2.
-  | "B1" | "E" -> 3.
-  | "A2" | "B2" | "F" -> 1.
-  | _ -> 0.
-
-let instance_work_csr s id =
+let instance_work s id =
   let nc = s.n_cells and ne = s.n_edges and nv = s.n_vertices in
   let ec = s.mean_edges_per_cell in
   let eoe = s.mean_edges_on_edge in
@@ -113,19 +100,9 @@ let instance_work_csr s id =
   | "X6" -> w ~items:nc ~flops_per:6. ~dbl_per:11. ~idx_per:0.
   | _ -> raise Not_found
 
-let instance_work ?(layout = Csr) s id =
-  let work = instance_work_csr s id in
-  match layout with
-  | Csr -> work
-  | Ragged ->
-      {
-        work with
-        bytes = work.bytes +. (work.items *. ragged_rows_per_item id *. 8.);
-      }
-
-let kernel_work ?layout s k =
+let kernel_work s k =
   List.fold_left
-    (fun acc (i : Pattern.instance) -> add_work acc (instance_work ?layout s i.id))
+    (fun acc (i : Pattern.instance) -> add_work acc (instance_work s i.id))
     zero_work (Registry.of_kernel k)
 
 let kernel_calls_per_step = function
@@ -137,10 +114,10 @@ let kernel_calls_per_step = function
   | Pattern.Mpas_reconstruct -> 1
   | Pattern.Halo_exchange -> 4 (* one comm wave per substep *)
 
-let rk4_step_work ?layout s =
+let rk4_step_work s =
   List.fold_left
     (fun acc k ->
-      let per = kernel_work ?layout s k in
+      let per = kernel_work s k in
       let n = float_of_int (kernel_calls_per_step k) in
       add_work acc
         { items = per.items *. n; flops = per.flops *. n; bytes = per.bytes *. n })

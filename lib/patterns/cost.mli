@@ -36,23 +36,18 @@ type work = {
 val zero_work : work
 val add_work : work -> work -> work
 
-(** Connectivity layout the kernels run against.  [Csr] (the default)
-    is the packed flat view the single-device engine uses; [Ragged] is
-    the [int array array] layout, which pays an extra boxed-row-pointer
-    dereference (8 bytes) per inner gather row per item. *)
-type layout = Ragged | Csr
-
-(** Work of one instance on a mesh; [?layout] defaults to [Csr].
+(** Work of one instance on a mesh, counted for the packed CSR
+    connectivity every kernel walks.
     @raise Not_found for ids absent from the registry. *)
-val instance_work : ?layout:layout -> mesh_stats -> string -> work
+val instance_work : mesh_stats -> string -> work
 
 (** Total work of one kernel. *)
-val kernel_work : ?layout:layout -> mesh_stats -> Pattern.kernel -> work
+val kernel_work : mesh_stats -> Pattern.kernel -> work
 
 (** Work of a whole RK-4 step: each kernel weighted by how many times
     Algorithm 1 runs it per step (4 for the tendency/diagnostics
     kernels, 3 for next_substep_state, 1 for the reconstruction). *)
-val rk4_step_work : ?layout:layout -> mesh_stats -> work
+val rk4_step_work : mesh_stats -> work
 
 (** How many times Algorithm 1 runs each kernel per time step. *)
 val kernel_calls_per_step : Pattern.kernel -> int

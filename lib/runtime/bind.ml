@@ -240,7 +240,6 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
   let provis = work.Timestep.provis and accum = work.Timestep.accum in
   let src = if final then env.state else provis in
   let accum_coef = accum_coef env in
-  let substep_coef = substep_coef env in
   let eat id l =
     match l with
     | (x : Pattern.instance) :: tl when x.Pattern.id = id -> (true, tl)
@@ -344,21 +343,6 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
                   ~h_edge_out:diag.Fields.h_edge ~g:g_arg ~x5:(x5_arg x5)
                   ~tend_u:tend.Fields.tend_u ~lo ~hi),
               rest )
-      | "X3" ->
-          let clo, chi = bounds m.Mesh.n_cells part in
-          let elo, ehi = bounds m.Mesh.n_edges part in
-          Some
-            ( (fun () ->
-                Fused.next_substep_range m ~coef:substep_coef.(env.rk)
-                  ~base:env.state ~tend ~provis ~clo ~chi ~elo ~ehi),
-              rest0 )
-      | "E" ->
-          let lo, hi = bounds m.Mesh.n_cells part in
-          Some
-            ( (fun () ->
-                Fused.pv_cell_range m ~pv_vertex:diag.Fields.pv_vertex
-                  ~out:diag.Fields.pv_cell ~lo ~hi),
-              rest0 )
       | "D1" ->
           let c2, rest = eat "C2" rest0 in
           let d2, rest = if c2 then eat "D2" rest else (false, rest) in
@@ -423,9 +407,10 @@ let rec compile_members env ~final ~part = function
           compile_single env ~final ~part first
           :: compile_members env ~final ~part rest)
 
-(* Single-member tasks go through [compile_segment] too: a tiled part
-   of a lone kernel must reach the contiguous-range fast kernels, not
-   [compile_single]'s ragged index fallback. *)
+(* Single-member tasks go through [compile_segment] too, so a tiled
+   part of a lone chain head still runs its fused range kernel; the
+   rest reach {!Operators} through [compile_single] with the part's
+   index set. *)
 let compile env ~final (tk : Spec.task) =
   match compile_members env ~final ~part:tk.Spec.part tk.Spec.members with
   | [] -> fun () -> ()

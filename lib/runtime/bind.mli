@@ -6,9 +6,10 @@ open Mpas_swe
     kernel bodies ({!Mpas_swe.Operators}, {!Mpas_swe.Reconstruct}).
 
     Bodies run {e without} a pool: a task executes entirely on the
-    worker lane that popped it, so full-range tasks take the packed CSR
-    fast paths and part-range tasks the ragged [?on] forms — both
-    bit-identical to the sequential [Timestep.refactored] engine. *)
+    worker lane that popped it.  Full-range tasks walk the whole output
+    range, part-range tasks the part's index set ([?on]) or, for fused
+    chain heads, its contiguous tile — all bit-identical to the
+    sequential [Timestep.refactored] engine. *)
 
 (** Everything a step's closures capture.  [rk] is mutated by the
     engine between substeps; closures read it at call time, so one

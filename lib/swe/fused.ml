@@ -380,63 +380,6 @@ let pv_edge_chain (m : Mesh.t) ~g ~pv_cell ~pv_vertex ~gn_out ~gt_out ~f ~lo
         Array.unsafe_set out e (base -. (apvm_factor *. dt *. advect))
   done
 
-(* E over cells [lo, hi): the CSR fast-path loop of
-   {!Operators.pv_cell}.  E packs into no chain (its vertex-stencil
-   input collides with every cell-space neighbour), but a tiled part of
-   it must not fall back to the ragged index path — the per-element
-   local-index search there costs an order of magnitude more than the
-   CSR reverse links. *)
-let pv_cell_range (m : Mesh.t) ~pv_vertex ~out ~lo ~hi =
-  let csr : Mesh.csr = Mesh.csr m in
-  check_len "pv_cell_range" "pv_vertex" pv_vertex m.n_vertices;
-  check_len "pv_cell_range" "out" out m.n_cells;
-  let offsets = csr.cell_offsets
-  and verts = csr.cell_vertices
-  and vc = csr.vertex_cells
-  and kites = csr.vertex_kite_areas in
-  let area = m.area_cell in
-  for c = lo to hi - 1 do
-    let j0 = Array.unsafe_get offsets c
-    and j1 = Array.unsafe_get offsets (c + 1) in
-    let acc = ref 0. in
-    for j = j0 to j1 - 1 do
-      let v = Array.unsafe_get verts j in
-      let b = 3 * v in
-      (* The reverse link is validated by [Mesh.csr], so the third slot
-         is implied when the first two miss. *)
-      let k =
-        if Array.unsafe_get vc b = c then b
-        else if Array.unsafe_get vc (b + 1) = c then b + 1
-        else b + 2
-      in
-      acc :=
-        !acc +. (Array.unsafe_get kites k *. Array.unsafe_get pv_vertex v)
-    done;
-    Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
-  done
-
-(* X3 over its slice of both spaces: the pointwise provisional-state
-   update of {!Operators.next_substep_state}, cells [clo, chi) and
-   edges [elo, ehi). *)
-let next_substep_range (m : Mesh.t) ~coef ~(base : Fields.state)
-    ~(tend : Fields.tendencies) ~(provis : Fields.state) ~clo ~chi ~elo ~ehi =
-  let bh = base.Fields.h and th = tend.Fields.tend_h and ph = provis.Fields.h in
-  let bu = base.Fields.u and tu = tend.Fields.tend_u and pu = provis.Fields.u in
-  check_len "next_substep_range" "base.h" bh m.n_cells;
-  check_len "next_substep_range" "tend_h" th m.n_cells;
-  check_len "next_substep_range" "provis.h" ph m.n_cells;
-  check_len "next_substep_range" "base.u" bu m.n_edges;
-  check_len "next_substep_range" "tend_u" tu m.n_edges;
-  check_len "next_substep_range" "provis.u" pu m.n_edges;
-  for c = clo to chi - 1 do
-    Array.unsafe_set ph c
-      (Array.unsafe_get bh c +. (coef *. Array.unsafe_get th c))
-  done;
-  for e = elo to ehi - 1 do
-    Array.unsafe_set pu e
-      (Array.unsafe_get bu e +. (coef *. Array.unsafe_get tu e))
-  done
-
 (* The A4 [+X6] reconstruction chain lives in {!Reconstruct.run_range}:
    its coefficient table is abstract, so the scalarized fused loop is
    implemented next to it. *)

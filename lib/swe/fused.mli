@@ -110,30 +110,3 @@ val pv_edge_chain :
   unit
 (** [G+] H1 [+F] over edges.  [g] is [(u, v_tangential_out)]; [f] is
     [(apvm_factor, dt, u, v_tangential, pv_edge_out)]. *)
-
-val pv_cell_range :
-  Mesh.t ->
-  pv_vertex:float array ->
-  out:float array ->
-  lo:int ->
-  hi:int ->
-  unit
-(** E over cells [lo, hi): the CSR fast path of {!Operators.pv_cell}
-    restricted to one tile.  E never fuses, but its tiled parts must
-    keep the fast path — the ragged index fallback pays a per-element
-    local-index search. *)
-
-val next_substep_range :
-  Mesh.t ->
-  coef:float ->
-  base:Fields.state ->
-  tend:Fields.tendencies ->
-  provis:Fields.state ->
-  clo:int ->
-  chi:int ->
-  elo:int ->
-  ehi:int ->
-  unit
-(** X3 over cells [clo, chi) and edges [elo, ehi): the pointwise
-    provisional-state update of {!Operators.next_substep_state}
-    restricted to one tile of each space. *)

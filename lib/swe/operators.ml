@@ -17,12 +17,19 @@ let iter pool ?on n f =
   | None -> pfor pool 0 n f
   | Some idx -> pfor pool 0 (Array.length idx) (fun k -> f idx.(k))
 
-(* Contiguous-range runner of the CSR fast paths: the loop body works on
-   [lo, hi) directly so the flat tables are walked in order. *)
-let range pool lo hi body =
+(* Chunk runner of the CSR kernels: [body ~lo ~hi] walks positions
+   [lo, hi) of the full range [0, n) or, with [on], of the index set.
+   Inside [body] each kernel writes its per-element work once, as a
+   local [[@inline always]] function [at], and drives it from two
+   explicit loop headers — one over indices, one over index-set
+   positions — so both walks compile to straight loops with no call
+   per element.  [at] must stay free of local closures, which would
+   block the inlining. *)
+let range pool ?on n body =
+  let hi = match on with None -> n | Some idx -> Array.length idx in
   match pool with
-  | None -> if hi > lo then body ~lo ~hi
-  | Some p -> Pool.parallel_for_chunks p ~lo ~hi body
+  | None -> if hi > 0 then body ~lo:0 ~hi
+  | Some p -> Pool.parallel_for_chunks p ~lo:0 ~hi body
 
 (* Cheap point-wise loops (the X3/X4 pattern instances) are dominated by
    scheduling overhead at the default granularity; hand out two big
@@ -42,140 +49,19 @@ let check_len kernel name a n =
       (Printf.sprintf "Operators.%s: %s has %d elements, need %d" kernel name
          (Array.length a) n)
 
-(* --- ragged-layout gather forms ----------------------------------------- *)
-
-(* The pre-CSR kernels, kept as the reference implementations: the
-   [?on] compute sets of the distributed driver run them (their index
-   sets are not contiguous), the equivalence tests pin the CSR fast
-   paths to them bit-for-bit, and the [layout] benchmark group measures
-   the flattening win against them. *)
-module Ragged = struct
-  let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_cells (fun c ->
-        let acc = ref 0. in
-        for j = 0 to m.n_edges_on_cell.(c) - 1 do
-          let e = m.edges_on_cell.(c).(j) in
-          acc :=
-            !acc +. (0.25 *. m.dc_edge.(e) *. m.dv_edge.(e) *. u.(e) *. u.(e))
-        done;
-        out.(c) <- !acc /. m.area_cell.(c))
-
-  let divergence ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_cells (fun c ->
-        let acc = ref 0. in
-        for j = 0 to m.n_edges_on_cell.(c) - 1 do
-          let e = m.edges_on_cell.(c).(j) in
-          acc := !acc +. (m.edge_sign_on_cell.(c).(j) *. u.(e) *. m.dv_edge.(e))
-        done;
-        out.(c) <- !acc /. m.area_cell.(c))
-
-  let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_vertices (fun v ->
-        let acc = ref 0. in
-        for k = 0 to 2 do
-          let e = m.edges_on_vertex.(v).(k) in
-          acc :=
-            !acc +. (m.edge_sign_on_vertex.(v).(k) *. u.(e) *. m.dc_edge.(e))
-        done;
-        out.(v) <- !acc /. m.area_triangle.(v))
-
-  let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
-    iter pool ?on m.n_vertices (fun v ->
-        let acc = ref 0. in
-        for k = 0 to 2 do
-          acc :=
-            !acc
-            +. (m.kite_areas_on_vertex.(v).(k) *. h.(m.cells_on_vertex.(v).(k)))
-        done;
-        out.(v) <- !acc /. m.area_triangle.(v))
-
-  let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
-    iter pool ?on m.n_cells (fun c ->
-        let n = m.n_edges_on_cell.(c) in
-        let acc = ref 0. in
-        for j = 0 to n - 1 do
-          let v = m.vertices_on_cell.(c).(j) in
-          let k = Mesh_index.local_index m.cells_on_vertex.(v) c in
-          acc := !acc +. (m.kite_areas_on_vertex.(v).(k) *. pv_vertex.(v))
-        done;
-        out.(c) <- !acc /. m.area_cell.(c))
-
-  let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_edges (fun e ->
-        let acc = ref 0. in
-        let eoe = m.edges_on_edge.(e) and w = m.weights_on_edge.(e) in
-        for i = 0 to m.n_edges_on_edge.(e) - 1 do
-          acc := !acc +. (w.(i) *. u.(eoe.(i)))
-        done;
-        out.(e) <- !acc)
-
-  let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
-    iter pool ?on m.n_cells (fun c ->
-        let acc = ref 0. in
-        for j = 0 to m.n_edges_on_cell.(c) - 1 do
-          let e = m.edges_on_cell.(c).(j) in
-          acc :=
-            !acc
-            +. (m.edge_sign_on_cell.(c).(j) *. h_edge.(e) *. u.(e)
-                *. m.dv_edge.(e))
-        done;
-        out.(c) <- -.(!acc) /. m.area_cell.(c))
-
-  let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity
-      ~h ~b ~ke ~h_edge ~u ~pv_edge ~out =
-    iter pool ?on m.n_edges (fun e ->
-        (* Perp flux; the symmetric potential-vorticity average makes the
-           Coriolis force exactly energy-neutral. *)
-        let q_flux = ref 0. in
-        let eoe = m.edges_on_edge.(e) and w = m.weights_on_edge.(e) in
-        for i = 0 to m.n_edges_on_edge.(e) - 1 do
-          let e' = eoe.(i) in
-          let q =
-            match pv_average with
-            | Config.Symmetric -> 0.5 *. (pv_edge.(e) +. pv_edge.(e'))
-            | Config.Edge_only -> pv_edge.(e)
-          in
-          q_flux := !q_flux +. (w.(i) *. u.(e') *. h_edge.(e') *. q)
-        done;
-        let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-        let energy c = (gravity *. (h.(c) +. b.(c))) +. ke.(c) in
-        let grad = (energy c2 -. energy c1) /. m.dc_edge.(e) in
-        out.(e) <- !q_flux -. grad)
-
-  let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
-    match (scheme : Config.tracer_adv) with
-    | Config.Centered ->
-        iter pool ?on m.n_edges (fun e ->
-            let c1 = m.cells_on_edge.(e).(0)
-            and c2 = m.cells_on_edge.(e).(1) in
-            out.(e) <- 0.5 *. (tracer.(c1) +. tracer.(c2)))
-    | Config.Upwind ->
-        iter pool ?on m.n_edges (fun e ->
-            let c1 = m.cells_on_edge.(e).(0)
-            and c2 = m.cells_on_edge.(e).(1) in
-            out.(e) <- (if u.(e) >= 0. then tracer.(c1) else tracer.(c2)))
-
-  let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
-    iter pool ?on m.n_cells (fun c ->
-        let acc = ref 0. in
-        for j = 0 to m.n_edges_on_cell.(c) - 1 do
-          let e = m.edges_on_cell.(c).(j) in
-          acc :=
-            !acc
-            +. (m.edge_sign_on_cell.(c).(j) *. h_edge.(e) *. tracer_edge.(e)
-                *. u.(e) *. m.dv_edge.(e))
-        done;
-        out.(c) <- -.(!acc) /. m.area_cell.(c))
-
-  let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
-    iter pool ?on m.n_edges (fun e ->
-        let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-        let v1 = m.vertices_on_edge.(e).(0)
-        and v2 = m.vertices_on_edge.(e).(1) in
-        out.(e) <-
-          ((divergence.(c2) -. divergence.(c1)) /. m.dc_edge.(e))
-          -. ((vorticity.(v2) -. vorticity.(v1)) /. m.dv_edge.(e)))
-end
+(* The index-set walk writes [out.(i)] unchecked for every listed [i],
+   so the set is checked once at entry, before any write. *)
+let check_on kernel on n =
+  match on with
+  | None -> ()
+  | Some idx ->
+      Array.iter
+        (fun i ->
+          if i < 0 || i >= n then
+            invalid_arg
+              (Printf.sprintf "Operators.%s: index %d outside [0, %d)" kernel
+                 i n))
+        idx
 
 (* --- compute_solve_diagnostics ---------------------------------------- *)
 
@@ -213,28 +99,35 @@ let h_edge ?pool ?on (m : Mesh.t) ~order ~h ~d2fdx2_cell ~out =
             -. (dc *. dc /. 24. *. (d2fdx2_cell.(c1) +. d2fdx2_cell.(c2))))
 
 let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
-  match on with
-  | Some _ -> Ragged.kinetic_energy ?pool ?on m ~u ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "kinetic_energy" "u" u m.n_edges;
-      check_len "kinetic_energy" "out" out m.n_cells;
-      let offsets = csr.cell_offsets and edges = csr.cell_edges in
-      let dc = m.dc_edge and dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "kinetic_energy" "u" u m.n_edges;
+  check_len "kinetic_energy" "out" out m.n_cells;
+  check_on "kinetic_energy" on m.n_cells;
+  let offsets = csr.cell_offsets and edges = csr.cell_edges in
+  let dc = m.dc_edge and dv = m.dv_edge and area = m.area_cell in
+  range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        let j0 = Array.unsafe_get offsets c
+        and j1 = Array.unsafe_get offsets (c + 1) in
+        let acc = ref 0. in
+        for j = j0 to j1 - 1 do
+          let e = Array.unsafe_get edges j in
+          let ue = Array.unsafe_get u e in
+          acc :=
+            !acc
+            +. (0.25 *. Array.unsafe_get dc e *. Array.unsafe_get dv e *. ue
+                *. ue)
+        done;
+        Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+      in
+      match on with
+      | None ->
           for c = lo to hi - 1 do
-            let j0 = Array.unsafe_get offsets c
-            and j1 = Array.unsafe_get offsets (c + 1) in
-            let acc = ref 0. in
-            for j = j0 to j1 - 1 do
-              let e = Array.unsafe_get edges j in
-              let ue = Array.unsafe_get u e in
-              acc :=
-                !acc
-                +. (0.25 *. Array.unsafe_get dc e *. Array.unsafe_get dv e
-                    *. ue *. ue)
-            done;
-            Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+            at c
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
@@ -247,29 +140,36 @@ let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
   done
 
 let divergence ?pool ?on (m : Mesh.t) ~u ~out =
-  match on with
-  | Some _ -> Ragged.divergence ?pool ?on m ~u ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "divergence" "u" u m.n_edges;
-      check_len "divergence" "out" out m.n_cells;
-      let offsets = csr.cell_offsets
-      and edges = csr.cell_edges
-      and signs = csr.cell_edge_signs in
-      let dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "divergence" "u" u m.n_edges;
+  check_len "divergence" "out" out m.n_cells;
+  check_on "divergence" on m.n_cells;
+  let offsets = csr.cell_offsets
+  and edges = csr.cell_edges
+  and signs = csr.cell_edge_signs in
+  let dv = m.dv_edge and area = m.area_cell in
+  range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        let j0 = Array.unsafe_get offsets c
+        and j1 = Array.unsafe_get offsets (c + 1) in
+        let acc = ref 0. in
+        for j = j0 to j1 - 1 do
+          let e = Array.unsafe_get edges j in
+          acc :=
+            !acc
+            +. (Array.unsafe_get signs j *. Array.unsafe_get u e
+                *. Array.unsafe_get dv e)
+        done;
+        Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+      in
+      match on with
+      | None ->
           for c = lo to hi - 1 do
-            let j0 = Array.unsafe_get offsets c
-            and j1 = Array.unsafe_get offsets (c + 1) in
-            let acc = ref 0. in
-            for j = j0 to j1 - 1 do
-              let e = Array.unsafe_get edges j in
-              acc :=
-                !acc
-                +. (Array.unsafe_get signs j *. Array.unsafe_get u e
-                    *. Array.unsafe_get dv e)
-            done;
-            Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+            at c
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let divergence_scatter (m : Mesh.t) ~u ~out =
@@ -282,26 +182,33 @@ let divergence_scatter (m : Mesh.t) ~u ~out =
   done
 
 let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
-  match on with
-  | Some _ -> Ragged.vorticity ?pool ?on m ~u ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "vorticity" "u" u m.n_edges;
-      check_len "vorticity" "out" out m.n_vertices;
-      let ve = csr.vertex_edges and signs = csr.vertex_edge_signs in
-      let dc = m.dc_edge and area = m.area_triangle in
-      range pool 0 m.n_vertices (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "vorticity" "u" u m.n_edges;
+  check_len "vorticity" "out" out m.n_vertices;
+  check_on "vorticity" on m.n_vertices;
+  let ve = csr.vertex_edges and signs = csr.vertex_edge_signs in
+  let dc = m.dc_edge and area = m.area_triangle in
+  range pool ?on m.n_vertices (fun ~lo ~hi ->
+      let[@inline always] at v =
+        let b = 3 * v in
+        let acc = ref 0. in
+        for k = b to b + 2 do
+          let e = Array.unsafe_get ve k in
+          acc :=
+            !acc
+            +. (Array.unsafe_get signs k *. Array.unsafe_get u e
+                *. Array.unsafe_get dc e)
+        done;
+        Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
+      in
+      match on with
+      | None ->
           for v = lo to hi - 1 do
-            let b = 3 * v in
-            let acc = ref 0. in
-            for k = b to b + 2 do
-              let e = Array.unsafe_get ve k in
-              acc :=
-                !acc
-                +. (Array.unsafe_get signs k *. Array.unsafe_get u e
-                    *. Array.unsafe_get dc e)
-            done;
-            Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
+            at v
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let vorticity_scatter (m : Mesh.t) ~u ~out =
@@ -320,25 +227,32 @@ let vorticity_scatter (m : Mesh.t) ~u ~out =
   done
 
 let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
-  match on with
-  | Some _ -> Ragged.h_vertex ?pool ?on m ~h ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "h_vertex" "h" h m.n_cells;
-      check_len "h_vertex" "out" out m.n_vertices;
-      let vc = csr.vertex_cells and kites = csr.vertex_kite_areas in
-      let area = m.area_triangle in
-      range pool 0 m.n_vertices (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "h_vertex" "h" h m.n_cells;
+  check_len "h_vertex" "out" out m.n_vertices;
+  check_on "h_vertex" on m.n_vertices;
+  let vc = csr.vertex_cells and kites = csr.vertex_kite_areas in
+  let area = m.area_triangle in
+  range pool ?on m.n_vertices (fun ~lo ~hi ->
+      let[@inline always] at v =
+        let b = 3 * v in
+        let acc = ref 0. in
+        for k = b to b + 2 do
+          acc :=
+            !acc
+            +. (Array.unsafe_get kites k
+                *. Array.unsafe_get h (Array.unsafe_get vc k))
+        done;
+        Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
+      in
+      match on with
+      | None ->
           for v = lo to hi - 1 do
-            let b = 3 * v in
-            let acc = ref 0. in
-            for k = b to b + 2 do
-              acc :=
-                !acc
-                +. (Array.unsafe_get kites k
-                    *. Array.unsafe_get h (Array.unsafe_get vc k))
-            done;
-            Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
+            at v
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let pv_vertex ?pool ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
@@ -346,37 +260,43 @@ let pv_vertex ?pool ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
       out.(v) <- (m.f_vertex.(v) +. vorticity.(v)) /. h_vertex.(v))
 
 let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
-  match on with
-  | Some _ -> Ragged.pv_cell ?pool ?on m ~pv_vertex ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "pv_cell" "pv_vertex" pv_vertex m.n_vertices;
-      check_len "pv_cell" "out" out m.n_cells;
-      let offsets = csr.cell_offsets
-      and verts = csr.cell_vertices
-      and vc = csr.vertex_cells
-      and kites = csr.vertex_kite_areas in
-      let area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "pv_cell" "pv_vertex" pv_vertex m.n_vertices;
+  check_len "pv_cell" "out" out m.n_cells;
+  check_on "pv_cell" on m.n_cells;
+  let offsets = csr.cell_offsets
+  and verts = csr.cell_vertices
+  and vc = csr.vertex_cells
+  and kites = csr.vertex_kite_areas in
+  let area = m.area_cell in
+  range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        let j0 = Array.unsafe_get offsets c
+        and j1 = Array.unsafe_get offsets (c + 1) in
+        let acc = ref 0. in
+        for j = j0 to j1 - 1 do
+          let v = Array.unsafe_get verts j in
+          let b = 3 * v in
+          (* The reverse link is validated by [Mesh.csr], so the third slot
+             is implied when the first two miss. *)
+          let k =
+            if Array.unsafe_get vc b = c then b
+            else if Array.unsafe_get vc (b + 1) = c then b + 1
+            else b + 2
+          in
+          acc :=
+            !acc +. (Array.unsafe_get kites k *. Array.unsafe_get pv_vertex v)
+        done;
+        Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+      in
+      match on with
+      | None ->
           for c = lo to hi - 1 do
-            let j0 = Array.unsafe_get offsets c
-            and j1 = Array.unsafe_get offsets (c + 1) in
-            let acc = ref 0. in
-            for j = j0 to j1 - 1 do
-              let v = Array.unsafe_get verts j in
-              let b = 3 * v in
-              (* The reverse link is validated by [Mesh.csr], so the
-                 third slot is implied when the first two miss. *)
-              let k =
-                if Array.unsafe_get vc b = c then b
-                else if Array.unsafe_get vc (b + 1) = c then b + 1
-                else b + 2
-              in
-              acc :=
-                !acc
-                +. (Array.unsafe_get kites k *. Array.unsafe_get pv_vertex v)
-            done;
-            Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+            at c
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
@@ -391,27 +311,33 @@ let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
   done
 
 let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
-  match on with
-  | Some _ -> Ragged.tangential_velocity ?pool ?on m ~u ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "tangential_velocity" "u" u m.n_edges;
-      check_len "tangential_velocity" "out" out m.n_edges;
-      let offsets = csr.eoe_offsets
-      and eoe = csr.eoe_edges
-      and w = csr.eoe_weights in
-      range pool 0 m.n_edges (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "tangential_velocity" "u" u m.n_edges;
+  check_len "tangential_velocity" "out" out m.n_edges;
+  check_on "tangential_velocity" on m.n_edges;
+  let offsets = csr.eoe_offsets
+  and eoe = csr.eoe_edges
+  and w = csr.eoe_weights in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        let i0 = Array.unsafe_get offsets e
+        and i1 = Array.unsafe_get offsets (e + 1) in
+        let acc = ref 0. in
+        for i = i0 to i1 - 1 do
+          acc :=
+            !acc
+            +. (Array.unsafe_get w i *. Array.unsafe_get u (Array.unsafe_get eoe i))
+        done;
+        Array.unsafe_set out e !acc
+      in
+      match on with
+      | None ->
           for e = lo to hi - 1 do
-            let i0 = Array.unsafe_get offsets e
-            and i1 = Array.unsafe_get offsets (e + 1) in
-            let acc = ref 0. in
-            for i = i0 to i1 - 1 do
-              acc :=
-                !acc
-                +. (Array.unsafe_get w i
-                    *. Array.unsafe_get u (Array.unsafe_get eoe i))
-            done;
-            Array.unsafe_set out e !acc
+            at e
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let grad_pv ?pool ?on (m : Mesh.t) ~pv_cell ~pv_vertex ~out_n ~out_t =
@@ -432,30 +358,37 @@ let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
 (* --- compute_tend ------------------------------------------------------ *)
 
 let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
-  match on with
-  | Some _ -> Ragged.tend_h ?pool ?on m ~h_edge ~u ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "tend_h" "h_edge" h_edge m.n_edges;
-      check_len "tend_h" "u" u m.n_edges;
-      check_len "tend_h" "out" out m.n_cells;
-      let offsets = csr.cell_offsets
-      and edges = csr.cell_edges
-      and signs = csr.cell_edge_signs in
-      let dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "tend_h" "h_edge" h_edge m.n_edges;
+  check_len "tend_h" "u" u m.n_edges;
+  check_len "tend_h" "out" out m.n_cells;
+  check_on "tend_h" on m.n_cells;
+  let offsets = csr.cell_offsets
+  and edges = csr.cell_edges
+  and signs = csr.cell_edge_signs in
+  let dv = m.dv_edge and area = m.area_cell in
+  range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        let j0 = Array.unsafe_get offsets c
+        and j1 = Array.unsafe_get offsets (c + 1) in
+        let acc = ref 0. in
+        for j = j0 to j1 - 1 do
+          let e = Array.unsafe_get edges j in
+          acc :=
+            !acc
+            +. (Array.unsafe_get signs j *. Array.unsafe_get h_edge e
+                *. Array.unsafe_get u e *. Array.unsafe_get dv e)
+        done;
+        Array.unsafe_set out c (-.(!acc) /. Array.unsafe_get area c)
+      in
+      match on with
+      | None ->
           for c = lo to hi - 1 do
-            let j0 = Array.unsafe_get offsets c
-            and j1 = Array.unsafe_get offsets (c + 1) in
-            let acc = ref 0. in
-            for j = j0 to j1 - 1 do
-              let e = Array.unsafe_get edges j in
-              acc :=
-                !acc
-                +. (Array.unsafe_get signs j *. Array.unsafe_get h_edge e
-                    *. Array.unsafe_get u e *. Array.unsafe_get dv e)
-            done;
-            Array.unsafe_set out c (-.(!acc) /. Array.unsafe_get area c)
+            at c
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
@@ -469,59 +402,69 @@ let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
 
 let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
     ~b ~ke ~h_edge ~u ~pv_edge ~out =
-  match on with
-  | Some _ ->
-      Ragged.tend_u ?pool ?on ~pv_average m ~gravity ~h ~b ~ke ~h_edge ~u
-        ~pv_edge ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "tend_u" "h" h m.n_cells;
-      check_len "tend_u" "b" b m.n_cells;
-      check_len "tend_u" "ke" ke m.n_cells;
-      check_len "tend_u" "h_edge" h_edge m.n_edges;
-      check_len "tend_u" "u" u m.n_edges;
-      check_len "tend_u" "pv_edge" pv_edge m.n_edges;
-      check_len "tend_u" "out" out m.n_edges;
-      let offsets = csr.eoe_offsets
-      and eoe = csr.eoe_edges
-      and w = csr.eoe_weights
-      and ec = csr.edge_cells in
-      let dc = m.dc_edge in
-      range pool 0 m.n_edges (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "tend_u" "h" h m.n_cells;
+  check_len "tend_u" "b" b m.n_cells;
+  check_len "tend_u" "ke" ke m.n_cells;
+  check_len "tend_u" "h_edge" h_edge m.n_edges;
+  check_len "tend_u" "u" u m.n_edges;
+  check_len "tend_u" "pv_edge" pv_edge m.n_edges;
+  check_len "tend_u" "out" out m.n_edges;
+  check_on "tend_u" on m.n_edges;
+  let offsets = csr.eoe_offsets
+  and eoe = csr.eoe_edges
+  and w = csr.eoe_weights
+  and ec = csr.edge_cells in
+  let dc = m.dc_edge in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        (* Perp flux; the symmetric potential-vorticity average makes the
+           Coriolis force exactly energy-neutral. *)
+        let i0 = Array.unsafe_get offsets e
+        and i1 = Array.unsafe_get offsets (e + 1) in
+        let q_flux = ref 0. in
+        (match pv_average with
+        | Config.Symmetric ->
+            let pe = Array.unsafe_get pv_edge e in
+            for i = i0 to i1 - 1 do
+              let e' = Array.unsafe_get eoe i in
+              let q = 0.5 *. (pe +. Array.unsafe_get pv_edge e') in
+              q_flux :=
+                !q_flux
+                +. (Array.unsafe_get w i *. Array.unsafe_get u e'
+                    *. Array.unsafe_get h_edge e' *. q)
+            done
+        | Config.Edge_only ->
+            let q = Array.unsafe_get pv_edge e in
+            for i = i0 to i1 - 1 do
+              let e' = Array.unsafe_get eoe i in
+              q_flux :=
+                !q_flux
+                +. (Array.unsafe_get w i *. Array.unsafe_get u e'
+                    *. Array.unsafe_get h_edge e' *. q)
+            done);
+        let c1 = Array.unsafe_get ec (2 * e)
+        and c2 = Array.unsafe_get ec ((2 * e) + 1) in
+        (* Energies spelled out: a local closure here would keep [at]
+           from being inlined. *)
+        let e1 =
+          (gravity *. (Array.unsafe_get h c1 +. Array.unsafe_get b c1))
+          +. Array.unsafe_get ke c1
+        and e2 =
+          (gravity *. (Array.unsafe_get h c2 +. Array.unsafe_get b c2))
+          +. Array.unsafe_get ke c2
+        in
+        let grad = (e2 -. e1) /. Array.unsafe_get dc e in
+        Array.unsafe_set out e (!q_flux -. grad)
+      in
+      match on with
+      | None ->
           for e = lo to hi - 1 do
-            (* Perp flux; the symmetric potential-vorticity average makes
-               the Coriolis force exactly energy-neutral. *)
-            let i0 = Array.unsafe_get offsets e
-            and i1 = Array.unsafe_get offsets (e + 1) in
-            let q_flux = ref 0. in
-            (match pv_average with
-            | Config.Symmetric ->
-                let pe = Array.unsafe_get pv_edge e in
-                for i = i0 to i1 - 1 do
-                  let e' = Array.unsafe_get eoe i in
-                  let q = 0.5 *. (pe +. Array.unsafe_get pv_edge e') in
-                  q_flux :=
-                    !q_flux
-                    +. (Array.unsafe_get w i *. Array.unsafe_get u e'
-                        *. Array.unsafe_get h_edge e' *. q)
-                done
-            | Config.Edge_only ->
-                let q = Array.unsafe_get pv_edge e in
-                for i = i0 to i1 - 1 do
-                  let e' = Array.unsafe_get eoe i in
-                  q_flux :=
-                    !q_flux
-                    +. (Array.unsafe_get w i *. Array.unsafe_get u e'
-                        *. Array.unsafe_get h_edge e' *. q)
-                done);
-            let c1 = Array.unsafe_get ec (2 * e)
-            and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-            let energy c =
-              (gravity *. (Array.unsafe_get h c +. Array.unsafe_get b c))
-              +. Array.unsafe_get ke c
-            in
-            let grad = (energy c2 -. energy c1) /. Array.unsafe_get dc e in
-            Array.unsafe_set out e (!q_flux -. grad)
+            at e
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let dissipation ?pool ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
@@ -564,62 +507,68 @@ let accumulate ?pool ?on_cells ?on_edges (m : Mesh.t) ~coef
 (* --- extensions beyond the paper's Table I ------------------------------ *)
 
 let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
-  match on with
-  | Some _ -> Ragged.tracer_edge ?pool ?on m ~scheme ~tracer ~u ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "tracer_edge" "tracer" tracer m.n_cells;
-      check_len "tracer_edge" "u" u m.n_edges;
-      check_len "tracer_edge" "out" out m.n_edges;
-      let ec = csr.edge_cells in
-      (match (scheme : Config.tracer_adv) with
-      | Config.Centered ->
-          range pool 0 m.n_edges (fun ~lo ~hi ->
-              for e = lo to hi - 1 do
-                let c1 = Array.unsafe_get ec (2 * e)
-                and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-                Array.unsafe_set out e
-                  (0.5
-                  *. (Array.unsafe_get tracer c1 +. Array.unsafe_get tracer c2))
-              done)
-      | Config.Upwind ->
-          range pool 0 m.n_edges (fun ~lo ~hi ->
-              for e = lo to hi - 1 do
-                let c1 = Array.unsafe_get ec (2 * e)
-                and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-                Array.unsafe_set out e
-                  (if Array.unsafe_get u e >= 0. then
-                     Array.unsafe_get tracer c1
-                   else Array.unsafe_get tracer c2)
-              done))
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "tracer_edge" "tracer" tracer m.n_cells;
+  check_len "tracer_edge" "u" u m.n_edges;
+  check_len "tracer_edge" "out" out m.n_edges;
+  check_on "tracer_edge" on m.n_edges;
+  let ec = csr.edge_cells in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        let c1 = Array.unsafe_get ec (2 * e)
+        and c2 = Array.unsafe_get ec ((2 * e) + 1) in
+        Array.unsafe_set out e
+          (match (scheme : Config.tracer_adv) with
+          | Config.Centered ->
+              0.5 *. (Array.unsafe_get tracer c1 +. Array.unsafe_get tracer c2)
+          | Config.Upwind ->
+              if Array.unsafe_get u e >= 0. then Array.unsafe_get tracer c1
+              else Array.unsafe_get tracer c2)
+      in
+      match on with
+      | None ->
+          for e = lo to hi - 1 do
+            at e
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
+          done)
 
 let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
-  match on with
-  | Some _ -> Ragged.tend_tracer ?pool ?on m ~h_edge ~u ~tracer_edge ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "tend_tracer" "h_edge" h_edge m.n_edges;
-      check_len "tend_tracer" "u" u m.n_edges;
-      check_len "tend_tracer" "tracer_edge" tracer_edge m.n_edges;
-      check_len "tend_tracer" "out" out m.n_cells;
-      let offsets = csr.cell_offsets
-      and edges = csr.cell_edges
-      and signs = csr.cell_edge_signs in
-      let dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "tend_tracer" "h_edge" h_edge m.n_edges;
+  check_len "tend_tracer" "u" u m.n_edges;
+  check_len "tend_tracer" "tracer_edge" tracer_edge m.n_edges;
+  check_len "tend_tracer" "out" out m.n_cells;
+  check_on "tend_tracer" on m.n_cells;
+  let offsets = csr.cell_offsets
+  and edges = csr.cell_edges
+  and signs = csr.cell_edge_signs in
+  let dv = m.dv_edge and area = m.area_cell in
+  range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        let j0 = Array.unsafe_get offsets c
+        and j1 = Array.unsafe_get offsets (c + 1) in
+        let acc = ref 0. in
+        for j = j0 to j1 - 1 do
+          let e = Array.unsafe_get edges j in
+          acc :=
+            !acc
+            +. (Array.unsafe_get signs j *. Array.unsafe_get h_edge e
+                *. Array.unsafe_get tracer_edge e *. Array.unsafe_get u e
+                *. Array.unsafe_get dv e)
+        done;
+        Array.unsafe_set out c (-.(!acc) /. Array.unsafe_get area c)
+      in
+      match on with
+      | None ->
           for c = lo to hi - 1 do
-            let j0 = Array.unsafe_get offsets c
-            and j1 = Array.unsafe_get offsets (c + 1) in
-            let acc = ref 0. in
-            for j = j0 to j1 - 1 do
-              let e = Array.unsafe_get edges j in
-              acc :=
-                !acc
-                +. (Array.unsafe_get signs j *. Array.unsafe_get h_edge e
-                    *. Array.unsafe_get tracer_edge e *. Array.unsafe_get u e
-                    *. Array.unsafe_get dv e)
-            done;
-            Array.unsafe_set out c (-.(!acc) /. Array.unsafe_get area c)
+            at c
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let tend_tracer_scatter (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
@@ -632,28 +581,33 @@ let tend_tracer_scatter (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   done
 
 let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
-  match on with
-  | Some _ -> Ragged.velocity_laplacian ?pool ?on m ~divergence ~vorticity ~out
-  | None ->
-      let csr : Mesh.csr = Mesh.csr m in
-      check_len "velocity_laplacian" "divergence" divergence m.n_cells;
-      check_len "velocity_laplacian" "vorticity" vorticity m.n_vertices;
-      check_len "velocity_laplacian" "out" out m.n_edges;
-      let ec = csr.edge_cells and ev = csr.edge_vertices in
-      let dc = m.dc_edge and dv = m.dv_edge in
-      range pool 0 m.n_edges (fun ~lo ~hi ->
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "velocity_laplacian" "divergence" divergence m.n_cells;
+  check_len "velocity_laplacian" "vorticity" vorticity m.n_vertices;
+  check_len "velocity_laplacian" "out" out m.n_edges;
+  check_on "velocity_laplacian" on m.n_edges;
+  let ec = csr.edge_cells and ev = csr.edge_vertices in
+  let dc = m.dc_edge and dv = m.dv_edge in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        let c1 = Array.unsafe_get ec (2 * e)
+        and c2 = Array.unsafe_get ec ((2 * e) + 1) in
+        let v1 = Array.unsafe_get ev (2 * e)
+        and v2 = Array.unsafe_get ev ((2 * e) + 1) in
+        Array.unsafe_set out e
+          (((Array.unsafe_get divergence c2 -. Array.unsafe_get divergence c1)
+           /. Array.unsafe_get dc e)
+          -. ((Array.unsafe_get vorticity v2 -. Array.unsafe_get vorticity v1)
+             /. Array.unsafe_get dv e))
+      in
+      match on with
+      | None ->
           for e = lo to hi - 1 do
-            let c1 = Array.unsafe_get ec (2 * e)
-            and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-            let v1 = Array.unsafe_get ev (2 * e)
-            and v2 = Array.unsafe_get ev ((2 * e) + 1) in
-            Array.unsafe_set out e
-              (((Array.unsafe_get divergence c2
-                -. Array.unsafe_get divergence c1)
-               /. Array.unsafe_get dc e)
-              -. ((Array.unsafe_get vorticity v2
-                  -. Array.unsafe_get vorticity v1)
-                 /. Array.unsafe_get dv e))
+            at e
+          done
+      | Some idx ->
+          for k = lo to hi - 1 do
+            at idx.(k)
           done)
 
 let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =

@@ -15,14 +15,17 @@
     All functions write their full output range, so no zeroing is
     needed between steps.
 
-    The hot gather kernels additionally come in two layouts.  When
-    [?on] is absent (the single-device engine), they walk the packed
-    {!Mesh.csr} view of the connectivity with unsafe indexing — flat
-    offsets/data arrays instead of ragged rows — which is validated
-    once when the view is built.  With [?on] they fall back to the
-    ragged forms in {!Ragged}, which remain the reference
-    implementations.  Both layouts evaluate the same floating-point
-    expressions in the same order, so results are bit-identical. *)
+    The eleven hot gather kernels (A1, A2, A3, B1, C2, D1, E, G and the
+    tracer / velocity-Laplacian extensions) walk the packed
+    {!Mesh.csr} view of the connectivity with unsafe indexing; the
+    view is validated once when it is built, caller fields by a length
+    check at entry.  Each writes its per-element work once and drives
+    it from two loop headers: the full output range when [?on] is
+    absent, exactly the listed indices when it is given.  An index set
+    with an entry outside the output range raises [Invalid_argument]
+    before anything is written.  The [Mpas_gen.Stencil] executor,
+    running the matching [Mpas_gen.Library] spec, is the reference
+    these kernels are pinned to bit for bit. *)
 
 open Mpas_mesh
 open Mpas_par
@@ -39,75 +42,6 @@ val iter : Pool.t option -> ?on:int array -> int -> (int -> unit) -> unit
     over exactly those indices instead of the full output range — the
     rank-local compute sets of the distributed execution engine
     ([Mpas_dist]). *)
-
-(** Ragged-layout gather forms of the kernels that have a CSR fast
-    path.  These walk the mesh's [int array array] connectivity rows
-    directly (safe indexing, arbitrary index sets) and are what the
-    top-level kernels run when [?on] is given.  Kept exposed as the
-    reference implementations: the equivalence tests pin the CSR paths
-    to them bit-for-bit and the [layout] benchmark group measures the
-    flattening win against them. *)
-module Ragged : sig
-  val kinetic_energy :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
-    out:float array -> unit
-
-  val divergence :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
-    out:float array -> unit
-
-  val vorticity :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
-    out:float array -> unit
-
-  val h_vertex :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> h:float array ->
-    out:float array -> unit
-
-  val pv_cell :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> pv_vertex:float array ->
-    out:float array -> unit
-
-  val tangential_velocity :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
-    out:float array -> unit
-
-  val tend_h :
-    ?pool:Pool.t ->
-    ?on:int array ->
-    Mesh.t ->
-    h_edge:float array ->
-    u:float array ->
-    out:float array ->
-    unit
-
-  val tend_u :
-    ?pool:Pool.t ->
-    ?on:int array ->
-    ?pv_average:Config.pv_average ->
-    Mesh.t ->
-    gravity:float ->
-    h:float array ->
-    b:float array ->
-    ke:float array ->
-    h_edge:float array ->
-    u:float array ->
-    pv_edge:float array ->
-    out:float array ->
-    unit
-
-  val tracer_edge :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> scheme:Config.tracer_adv ->
-    tracer:float array -> u:float array -> out:float array -> unit
-
-  val tend_tracer :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> h_edge:float array ->
-    u:float array -> tracer_edge:float array -> out:float array -> unit
-
-  val velocity_laplacian :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> divergence:float array ->
-    vorticity:float array -> out:float array -> unit
-end
 
 (** {1 compute_solve_diagnostics instances} *)
 

@@ -213,31 +213,6 @@ let test_b1_dominates () =
           (cost "B1" >= cost i.Pattern.id))
     Registry.instances
 
-let test_layout_cost () =
-  (* Ragged layout pays extra row-pointer traffic on gather loops; the
-     default layout is the packed CSR view the engine actually runs. *)
-  let s = Cost.stats_of_level 6 in
-  List.iter
-    (fun (i : Pattern.instance) ->
-      let id = i.Pattern.id in
-      let csr = Cost.instance_work ~layout:Cost.Csr s id in
-      let ragged = Cost.instance_work ~layout:Cost.Ragged s id in
-      let default = Cost.instance_work s id in
-      Alcotest.(check (float 0.1)) (id ^ " default is csr") csr.Cost.bytes
-        default.Cost.bytes;
-      Alcotest.(check (float 0.1)) (id ^ " same flops") csr.Cost.flops
-        ragged.Cost.flops;
-      Alcotest.(check bool)
-        (id ^ " ragged >= csr bytes")
-        true
-        (ragged.Cost.bytes >= csr.Cost.bytes))
-    Registry.instances;
-  let b1_csr = Cost.instance_work ~layout:Cost.Csr s "B1" in
-  let b1_ragged = Cost.instance_work ~layout:Cost.Ragged s "B1" in
-  Alcotest.(check bool)
-    "B1 ragged strictly heavier" true
-    (b1_ragged.Cost.bytes > b1_csr.Cost.bytes)
-
 let test_field_bytes () =
   let s = Cost.stats_of_level 3 in
   Alcotest.(check (float 0.1)) "mass field"
@@ -307,7 +282,6 @@ let () =
             test_costs_positive_and_scale;
           Alcotest.test_case "step work" `Quick test_rk4_step_work_consistent;
           Alcotest.test_case "B1 dominates" `Quick test_b1_dominates;
-          Alcotest.test_case "layout bytes" `Quick test_layout_cost;
           Alcotest.test_case "field bytes" `Quick test_field_bytes;
         ] );
       ( "properties",

@@ -841,14 +841,17 @@ let test_state_io_file_roundtrip_both_families () =
             (states_equal s (State_io.load path))))
     [ ("sphere", Lazy.force ico); ("planar hex", Lazy.force hex) ]
 
-(* --- CSR fast paths vs ragged reference ---------------------------------- *)
+(* --- CSR kernels vs the stencil reference ------------------------------- *)
 
-(* Every kernel with a CSR fast path must reproduce its ragged
-   predecessor bit for bit: the flat walk evaluates the same
-   floating-point expressions in the same order, so even -0.0 and ulp
-   differences are forbidden. *)
+(* Every CSR kernel must reproduce its [Mpas_gen.Library] spec, run by
+   [Stencil.run], exactly: the spec keeps the kernel's operation order,
+   so not even an ulp of difference is allowed.  Upwind
+   [tracer_edge], which the IR cannot express (no conditional), is
+   pinned to a direct per-edge expectation instead. *)
 
 type runner = ?pool:Mpas_par.Pool.t -> ?on:int array -> float array -> unit
+
+let gravity = 9.80616
 
 let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
   let u = random_u m seed in
@@ -870,93 +873,105 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
   Operators.vorticity m ~u ~out:vort;
   let tr_edge = Array.make m.n_edges 0. in
   Operators.tracer_edge m ~scheme:Config.Centered ~tracer ~u ~out:tr_edge;
+  let env =
+    {
+      Mpas_gen.Stencil.mesh = m;
+      fields =
+        [
+          ("u", u); ("h", h); ("b", btopo); ("ke", ke); ("h_edge", h_edge);
+          ("pv_vertex", pv_vertex); ("pv_edge", pv_edge); ("tracer", tracer);
+          ("tracer_edge", tr_edge); ("divergence", div); ("vorticity", vort);
+        ];
+    }
+  in
+  let spec name : runner =
+    let k = Mpas_gen.Library.spec ~gravity ~apvm_dt:0. name in
+    fun ?pool ?on out -> Mpas_gen.Stencil.run ?pool ?on env k ~out
+  in
+  let upwind : runner =
+   fun ?pool:_ ?on out ->
+    let at e =
+      let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+      out.(e) <- (if u.(e) >= 0. then tracer.(c1) else tracer.(c2))
+    in
+    match on with
+    | None -> for e = 0 to m.n_edges - 1 do at e done
+    | Some idx -> Array.iter at idx
+  in
   [
     ( "A2 kinetic_energy", m.n_cells,
       (fun ?pool ?on out -> Operators.kinetic_energy ?pool ?on m ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.kinetic_energy ?pool ?on m ~u ~out
-    );
+      spec "A2 kinetic energy" );
     ( "A3 divergence", m.n_cells,
       (fun ?pool ?on out -> Operators.divergence ?pool ?on m ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.divergence ?pool ?on m ~u ~out );
+      spec "A3 divergence" );
     ( "D1 vorticity", m.n_vertices,
       (fun ?pool ?on out -> Operators.vorticity ?pool ?on m ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.vorticity ?pool ?on m ~u ~out );
+      spec "D1 vorticity" );
     ( "C2 h_vertex", m.n_vertices,
       (fun ?pool ?on out -> Operators.h_vertex ?pool ?on m ~h ~out),
-      fun ?pool ?on out -> Operators.Ragged.h_vertex ?pool ?on m ~h ~out );
+      spec "C2 h_vertex" );
     ( "E pv_cell", m.n_cells,
       (fun ?pool ?on out -> Operators.pv_cell ?pool ?on m ~pv_vertex ~out),
-      fun ?pool ?on out -> Operators.Ragged.pv_cell ?pool ?on m ~pv_vertex ~out
-    );
+      spec "E pv_cell" );
     ( "G tangential_velocity", m.n_edges,
       (fun ?pool ?on out -> Operators.tangential_velocity ?pool ?on m ~u ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tangential_velocity ?pool ?on m ~u ~out );
+      spec "G tangential velocity" );
     ( "A1 tend_h", m.n_cells,
       (fun ?pool ?on out -> Operators.tend_h ?pool ?on m ~h_edge ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.tend_h ?pool ?on m ~h_edge ~u ~out
-    );
+      spec "A1 tend_h" );
     ( "B1 tend_u symmetric", m.n_edges,
       (fun ?pool ?on out ->
-        Operators.tend_u ?pool ?on m ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge
-          ~u ~pv_edge ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tend_u ?pool ?on m ~gravity:9.80616 ~h ~b:btopo ~ke
-          ~h_edge ~u ~pv_edge ~out );
+        Operators.tend_u ?pool ?on m ~gravity ~h ~b:btopo ~ke ~h_edge ~u
+          ~pv_edge ~out),
+      spec "B1 tend_u" );
     ( "B1 tend_u edge-only", m.n_edges,
       (fun ?pool ?on out ->
-        Operators.tend_u ?pool ?on ~pv_average:Config.Edge_only m
-          ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge ~u ~pv_edge ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tend_u ?pool ?on ~pv_average:Config.Edge_only m
-          ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge ~u ~pv_edge ~out );
+        Operators.tend_u ?pool ?on ~pv_average:Config.Edge_only m ~gravity ~h
+          ~b:btopo ~ke ~h_edge ~u ~pv_edge ~out),
+      spec "B1 tend_u (edge-only)" );
     ( "tracer_edge centered", m.n_edges,
       (fun ?pool ?on out ->
         Operators.tracer_edge ?pool ?on m ~scheme:Config.Centered ~tracer ~u
           ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tracer_edge ?pool ?on m ~scheme:Config.Centered
-          ~tracer ~u ~out );
+      spec "tracer_edge (centered)" );
     ( "tracer_edge upwind", m.n_edges,
       (fun ?pool ?on out ->
         Operators.tracer_edge ?pool ?on m ~scheme:Config.Upwind ~tracer ~u
           ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tracer_edge ?pool ?on m ~scheme:Config.Upwind ~tracer
-          ~u ~out );
+      upwind );
     ( "tend_tracer", m.n_cells,
       (fun ?pool ?on out ->
         Operators.tend_tracer ?pool ?on m ~h_edge ~u ~tracer_edge:tr_edge ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tend_tracer ?pool ?on m ~h_edge ~u
-          ~tracer_edge:tr_edge ~out );
+      spec "tend_tracer" );
     ( "velocity_laplacian", m.n_edges,
       (fun ?pool ?on out ->
         Operators.velocity_laplacian ?pool ?on m ~divergence:div
           ~vorticity:vort ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.velocity_laplacian ?pool ?on m ~divergence:div
-          ~vorticity:vort ~out );
+      spec "C1 velocity_laplacian" );
   ]
 
 let bitwise_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all Fun.id
-       (Array.init (Array.length a) (fun i -> Float.equal a.(i) b.(i)))
+  Array.length a = Array.length b && Array.for_all2 Float.equal a b
 
-(* [subset] exercises the [?on] dispatch: outputs start as NaN so the
-   comparison also proves both forms write exactly the listed indices
-   (Float.equal nan nan holds). *)
+(* Outputs start as NaN, so the comparison also proves both sides
+   write exactly the listed indices (Float.equal nan nan holds);
+   [only_listed] checks the kernel side directly. *)
+let only_listed out on =
+  let listed = Array.make (Array.length out) false in
+  Array.iter (fun i -> listed.(i) <- true) on;
+  Array.for_all2 (fun l x -> l || Float.is_nan x) listed out
+
 let check_csr_pairs ?pool ~subset label m seed =
   List.iter
-    (fun (name, n, (csr_run : runner), (ragged_run : runner)) ->
+    (fun (name, n, (csr_run : runner), (reference : runner)) ->
       let on =
         if subset then Some (Array.init ((n / 2) + 1) (fun i -> 2 * i mod n))
         else None
       in
       let a = Array.make n nan and b = Array.make n nan in
       csr_run ?pool ?on a;
-      ragged_run ?pool ?on b;
+      reference ?pool ?on b;
       Alcotest.(check bool) (label ^ " " ^ name ^ " bitwise") true
         (bitwise_equal a b))
     (csr_kernel_pairs m seed)
@@ -976,22 +991,70 @@ let test_csr_bitwise_subset () =
   Mpas_par.Pool.with_pool ~n_domains:2 (fun pool ->
       check_csr_pairs ~pool ~subset:true "ico" (Lazy.force ico) 56L)
 
+(* The index-set walk writes unchecked, so a bad index must be refused
+   before the first write: the valid entries ahead of it stay NaN. *)
+let test_on_out_of_range_rejected () =
+  let m = Lazy.force ico in
+  List.iter
+    (fun (name, n, (csr_run : runner), _) ->
+      List.iter
+        (fun bad ->
+          let out = Array.make n nan in
+          let raised =
+            match csr_run ~on:[| 0; 1; bad |] out with
+            | () -> false
+            | exception Invalid_argument _ -> true
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s rejects index %d" name bad)
+            true raised;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s wrote nothing" name)
+            true
+            (Array.for_all Float.is_nan out))
+        [ n; -1 ])
+    (csr_kernel_pairs m 57L)
+
 (* --- properties -------------------------------------------------------------- *)
 
-let prop_csr_matches_ragged =
-  QCheck.Test.make ~name:"CSR fast paths bit-identical to ragged forms"
+(* A random unsorted subset of [0, n): empty, a singleton, or a
+   shuffled prefix of any length. *)
+let random_index_set r n =
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Rng.int r (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let len =
+    match Rng.int r 4 with 0 -> 0 | 1 -> Int.min 1 n | _ -> Rng.int r (n + 1)
+  in
+  Array.sub perm 0 len
+
+let prop_csr_matches_stencil =
+  QCheck.Test.make
+    ~name:"CSR fast paths bit-identical to Stencil.run on random index sets"
     ~count:10
     QCheck.(int_range 0 10_000)
     (fun seed ->
+      let r = Rng.create (Int64.of_int seed) in
+      let agree ?pool m seed =
+        List.for_all
+          (fun (_, n, (csr_run : runner), (reference : runner)) ->
+            let on = random_index_set r n in
+            let a = Array.make n nan and b = Array.make n nan in
+            csr_run ?pool ~on a;
+            reference ?pool ~on b;
+            bitwise_equal a b && only_listed a on)
+          (csr_kernel_pairs m seed)
+      in
       let seed = Int64.of_int seed in
-      List.for_all
-        (fun (_, n, (csr_run : runner), (ragged_run : runner)) ->
-          let a = Array.make n nan and b = Array.make n nan in
-          csr_run a;
-          ragged_run b;
-          bitwise_equal a b)
-        (csr_kernel_pairs (Lazy.force ico) seed
-        @ csr_kernel_pairs (Lazy.force hex) (Int64.add seed 7L)))
+      let both ?pool () =
+        agree ?pool (Lazy.force ico) seed
+        && agree ?pool (Lazy.force hex) (Int64.add seed 7L)
+      in
+      both () && Mpas_par.Pool.with_pool ~n_domains:2 (fun pool -> both ~pool ()))
 
 let prop_refactoring_equivalence =
   QCheck.Test.make ~name:"scatter = gather for random velocity fields"
@@ -1065,6 +1128,8 @@ let () =
           Alcotest.test_case "pool bitwise" `Quick test_csr_bitwise_pool;
           Alcotest.test_case "on-subset bitwise" `Quick
             test_csr_bitwise_subset;
+          Alcotest.test_case "on-subset out of range" `Quick
+            test_on_out_of_range_rejected;
         ] );
       ( "exact hex answers",
         [
@@ -1155,7 +1220,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_csr_matches_ragged;
+            prop_csr_matches_stencil;
             prop_refactoring_equivalence;
             prop_ke_nonnegative;
             prop_divergence_of_any_field_integrates_to_zero;
