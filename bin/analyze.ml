@@ -5,23 +5,27 @@
       read/write sets (shadow instrumentation through the runtime's
       own compiled closures) must match its declarations, in CSR
       full-range, index-set and split-part modes;
-   2. bounds audit — every unsafe-indexed site of the CSR kernels must
+   2. fused inference — every chain the fusing planner packs must
+      write every member's declared outputs and read nothing beyond
+      the union of the members' declarations, in full-range and
+      split-part modes;
+   3. bounds audit — every unsafe-indexed site of the CSR kernels must
       be discharged by the mesh's validated CSR invariants;
-   3. schedule races — compiled phase programs for each placement plan
+   4. schedule races — compiled phase programs for each placement plan
       must order every conflicting task pair, and a live executor log
       must replay clean;
-   4. overlapped distributed schedules — the comm-extended phase
+   5. overlapped distributed schedules — the comm-extended phase
       programs of the overlapped halo-exchange driver must pass the
       same structural and race checks, their pack/transfer/unpack
       bodies must move exactly the declared ghosts, and a stolen live
       run must replay clean;
-   5. live-tsan — the online vector-clock race monitor rides a fused
+   6. live-tsan — the online vector-clock race monitor rides a fused
       Steal-mode run end to end: zero violations, bit-identical
       result, and a seeded hazard-edge drop must be caught;
-   6. explore — the bounded interleaving explorer proves the deque and
+   7. explore — the bounded interleaving explorer proves the deque and
       wakeup protocol models clean up to the preemption bound and
       catches every seeded protocol bug;
-   7. bounds-coverage — the bounds catalog audits itself: every entry
+   8. bounds-coverage — the bounds catalog audits itself: every entry
       live and in-bounds on a real mesh, every unsafe source site
       catalogued, and seeded defects in both directions flagged.
 
@@ -40,27 +44,39 @@ type section = {
   sec_failures : string list;
 }
 
+let inference_failures reports =
+  List.concat_map
+    (fun (r : A.Infer.report) ->
+      List.map
+        (fun v ->
+          Printf.sprintf "%s/%s [%s]: %s" r.A.Infer.r_instance
+            (match r.A.Infer.r_phase with
+            | `Early -> "early"
+            | `Final -> "final")
+            (A.Infer.mode_name r.A.Infer.r_mode)
+            (A.Infer.violation_message v))
+        r.A.Infer.r_violations)
+    (A.Infer.failed reports)
+
 let registry_section mesh_name probe =
   let reports = A.Infer.check_registry probe in
-  let failures =
-    List.concat_map
-      (fun (r : A.Infer.report) ->
-        List.map
-          (fun v ->
-            Printf.sprintf "%s/%s [%s]: %s" r.A.Infer.r_instance
-              (match r.A.Infer.r_phase with
-              | `Early -> "early"
-              | `Final -> "final")
-              (A.Infer.mode_name r.A.Infer.r_mode)
-              (A.Infer.violation_message v))
-          r.A.Infer.r_violations)
-      (A.Infer.failed reports)
-  in
   {
     sec_name = "registry-inference";
     sec_mesh = mesh_name;
     sec_checks = List.length reports;
-    sec_failures = failures;
+    sec_failures = inference_failures reports;
+  }
+
+(* Every chain the fusing planner packs, compiled through Bind to the
+   Operators chain loops: its inferred footprint must be the union of
+   its members' declarations, with every member output written. *)
+let fused_section mesh_name probe =
+  let reports = A.Infer.check_fused_spec probe in
+  {
+    sec_name = "fused-inference";
+    sec_mesh = mesh_name;
+    sec_checks = List.length reports;
+    sec_failures = inference_failures reports;
   }
 
 let bounds_section mesh_name mesh =
@@ -764,6 +780,7 @@ let section_catalog ~src_root () =
   let per name mesh probe heavy =
     [
       ("registry-inference", fun () -> registry_section name (Lazy.force probe));
+      ("fused-inference", fun () -> fused_section name (Lazy.force probe));
       ("bounds-audit", fun () -> bounds_section name (Lazy.force mesh));
       ( "bounds-coverage",
         fun () -> bounds_coverage_section ~src_root name (Lazy.force mesh) );

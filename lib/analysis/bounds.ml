@@ -194,111 +194,186 @@ let via k loop field table space =
 let via_geom k loop g table space =
   site k loop g Geometry `Get (Loaded { table; space })
 
+(* Every body is catalogued under its own name ([<stencil>_at]); the
+   kernel and chain loops that call it contribute only the stores of
+   its result and the point-wise operands they pass in. *)
 let catalog =
   List.concat
     [
-      (* Operators.kinetic_energy *)
-      cell_row "kinetic_energy" [ "cell_edges" ];
+      (* H2: Operators.d2fdx2_at *)
+      cell_row "d2fdx2_at" [ "cell_edges"; "cell_neighbors" ];
       [
-        via "kinetic_energy" Cells "u" "cell_edges" Edges;
-        via_geom "kinetic_energy" Cells "dc_edge" "cell_edges" Edges;
-        via_geom "kinetic_energy" Cells "dv_edge" "cell_edges" Edges;
-        site "kinetic_energy" Cells "area_cell" Geometry `Get Iter;
+        site "d2fdx2_at" Cells "h" Field `Get Iter;
+        via "d2fdx2_at" Cells "h" "cell_neighbors" Cells;
+        via_geom "d2fdx2_at" Cells "dv_edge" "cell_edges" Edges;
+        via_geom "d2fdx2_at" Cells "dc_edge" "cell_edges" Edges;
+        site "d2fdx2_at" Cells "area_cell" Geometry `Get Iter;
+        site "d2fdx2" Cells "out" Field `Set Iter;
+      ];
+      (* B2: Operators.h_edge_at *)
+      [
+        site "h_edge_at" Edges "edge_cells" Csr_table `Get (Stride 2);
+        via "h_edge_at" Edges "h" "edge_cells" Cells;
+        via "h_edge_at" Edges "d2fdx2_cell" "edge_cells" Cells;
+        site "h_edge_at" Edges "dc_edge" Geometry `Get Iter;
+        site "h_edge" Edges "out" Field `Set Iter;
+      ];
+      (* A2: Operators.kinetic_energy_at *)
+      cell_row "kinetic_energy_at" [ "cell_edges" ];
+      [
+        via "kinetic_energy_at" Cells "u" "cell_edges" Edges;
+        via_geom "kinetic_energy_at" Cells "dc_edge" "cell_edges" Edges;
+        via_geom "kinetic_energy_at" Cells "dv_edge" "cell_edges" Edges;
+        site "kinetic_energy_at" Cells "area_cell" Geometry `Get Iter;
         site "kinetic_energy" Cells "out" Field `Set Iter;
       ];
-      (* Operators.divergence *)
-      cell_row "divergence" [ "cell_edges"; "cell_edge_signs" ];
+      (* A3: Operators.divergence_at *)
+      cell_row "divergence_at" [ "cell_edges"; "cell_edge_signs" ];
       [
-        via "divergence" Cells "u" "cell_edges" Edges;
-        via_geom "divergence" Cells "dv_edge" "cell_edges" Edges;
-        site "divergence" Cells "area_cell" Geometry `Get Iter;
+        via "divergence_at" Cells "u" "cell_edges" Edges;
+        via_geom "divergence_at" Cells "dv_edge" "cell_edges" Edges;
+        site "divergence_at" Cells "area_cell" Geometry `Get Iter;
         site "divergence" Cells "out" Field `Set Iter;
       ];
-      (* Operators.vorticity *)
+      (* D1: Operators.vorticity_at *)
       [
-        site "vorticity" Vertices "vertex_edges" Csr_table `Get (Stride 3);
-        site "vorticity" Vertices "vertex_edge_signs" Csr_table `Get (Stride 3);
-        via "vorticity" Vertices "u" "vertex_edges" Edges;
-        via_geom "vorticity" Vertices "dc_edge" "vertex_edges" Edges;
-        site "vorticity" Vertices "area_triangle" Geometry `Get Iter;
+        site "vorticity_at" Vertices "vertex_edges" Csr_table `Get (Stride 3);
+        site "vorticity_at" Vertices "vertex_edge_signs" Csr_table `Get
+          (Stride 3);
+        via "vorticity_at" Vertices "u" "vertex_edges" Edges;
+        via_geom "vorticity_at" Vertices "dc_edge" "vertex_edges" Edges;
+        site "vorticity_at" Vertices "area_triangle" Geometry `Get Iter;
         site "vorticity" Vertices "out" Field `Set Iter;
       ];
-      (* Operators.h_vertex *)
+      (* C2: Operators.h_vertex_at *)
       [
-        site "h_vertex" Vertices "vertex_cells" Csr_table `Get (Stride 3);
-        site "h_vertex" Vertices "vertex_kite_areas" Csr_table `Get (Stride 3);
-        via "h_vertex" Vertices "h" "vertex_cells" Cells;
-        site "h_vertex" Vertices "area_triangle" Geometry `Get Iter;
+        site "h_vertex_at" Vertices "vertex_cells" Csr_table `Get (Stride 3);
+        site "h_vertex_at" Vertices "vertex_kite_areas" Csr_table `Get
+          (Stride 3);
+        via "h_vertex_at" Vertices "h" "vertex_cells" Cells;
+        site "h_vertex_at" Vertices "area_triangle" Geometry `Get Iter;
         site "h_vertex" Vertices "out" Field `Set Iter;
       ];
-      (* Operators.pv_cell: the kite lookup loads a vertex id from the
-         cell row, then walks that vertex's three slots. *)
-      cell_row "pv_cell" [ "cell_vertices" ];
+      (* E: Operators.pv_cell_at — the kite lookup loads a vertex id
+         from the cell row, then walks that vertex's three slots. *)
+      cell_row "pv_cell_at" [ "cell_vertices" ];
       [
-        site "pv_cell" Cells "vertex_cells" Csr_table `Get
+        site "pv_cell_at" Cells "vertex_cells" Csr_table `Get
           (Loaded_stride { table = "cell_vertices"; space = Vertices; width = 3 });
-        site "pv_cell" Cells "vertex_kite_areas" Csr_table `Get
+        site "pv_cell_at" Cells "vertex_kite_areas" Csr_table `Get
           (Loaded_stride { table = "cell_vertices"; space = Vertices; width = 3 });
-        via "pv_cell" Cells "pv_vertex" "cell_vertices" Vertices;
-        site "pv_cell" Cells "area_cell" Geometry `Get Iter;
+        via "pv_cell_at" Cells "pv_vertex" "cell_vertices" Vertices;
+        site "pv_cell_at" Cells "area_cell" Geometry `Get Iter;
         site "pv_cell" Cells "out" Field `Set Iter;
       ];
-      (* Operators.tangential_velocity *)
-      eoe_row "tangential_velocity" [ "eoe_edges"; "eoe_weights" ];
+      (* G: Operators.tangential_velocity_at *)
+      eoe_row "tangential_velocity_at" [ "eoe_edges"; "eoe_weights" ];
       [
-        via "tangential_velocity" Edges "u" "eoe_edges" Edges;
+        via "tangential_velocity_at" Edges "u" "eoe_edges" Edges;
         site "tangential_velocity" Edges "out" Field `Set Iter;
       ];
-      (* Operators.tend_h *)
-      cell_row "tend_h" [ "cell_edges"; "cell_edge_signs" ];
+      (* H1 and the velocity Laplacian: the two edge-gradient bodies *)
       [
-        via "tend_h" Cells "h_edge" "cell_edges" Edges;
-        via "tend_h" Cells "u" "cell_edges" Edges;
-        via_geom "tend_h" Cells "dv_edge" "cell_edges" Edges;
-        site "tend_h" Cells "area_cell" Geometry `Get Iter;
+        site "grad_n_at" Edges "edge_cells" Csr_table `Get (Stride 2);
+        via "grad_n_at" Edges "x" "edge_cells" Cells;
+        site "grad_n_at" Edges "dc_edge" Geometry `Get Iter;
+        site "grad_t_at" Edges "edge_vertices" Csr_table `Get (Stride 2);
+        via "grad_t_at" Edges "x" "edge_vertices" Vertices;
+        site "grad_t_at" Edges "dv_edge" Geometry `Get Iter;
+        site "grad_pv" Edges "out_n" Field `Set Iter;
+        site "grad_pv" Edges "out_t" Field `Set Iter;
+      ];
+      (* F: Operators.pv_edge_at, point-wise operands passed as values *)
+      [
+        site "pv_edge_at" Edges "edge_vertices" Csr_table `Get (Stride 2);
+        via "pv_edge_at" Edges "pv_vertex" "edge_vertices" Vertices;
+        site "pv_edge" Edges "u" Field `Get Iter;
+        site "pv_edge" Edges "grad_pv_n" Field `Get Iter;
+        site "pv_edge" Edges "grad_pv_t" Field `Get Iter;
+        site "pv_edge" Edges "v_tangential" Field `Get Iter;
+        site "pv_edge" Edges "out" Field `Set Iter;
+      ];
+      (* A1: Operators.tend_h_at *)
+      cell_row "tend_h_at" [ "cell_edges"; "cell_edge_signs" ];
+      [
+        via "tend_h_at" Cells "h_edge" "cell_edges" Edges;
+        via "tend_h_at" Cells "u" "cell_edges" Edges;
+        via_geom "tend_h_at" Cells "dv_edge" "cell_edges" Edges;
+        site "tend_h_at" Cells "area_cell" Geometry `Get Iter;
         site "tend_h" Cells "out" Field `Set Iter;
       ];
-      (* Operators.tend_u *)
-      eoe_row "tend_u" [ "eoe_edges"; "eoe_weights" ];
+      (* B1: Operators.tend_u_at *)
+      eoe_row "tend_u_at" [ "eoe_edges"; "eoe_weights" ];
       [
-        site "tend_u" Edges "pv_edge" Field `Get Iter;
-        via "tend_u" Edges "pv_edge" "eoe_edges" Edges;
-        via "tend_u" Edges "u" "eoe_edges" Edges;
-        via "tend_u" Edges "h_edge" "eoe_edges" Edges;
-        site "tend_u" Edges "edge_cells" Csr_table `Get (Stride 2);
-        via "tend_u" Edges "h" "edge_cells" Cells;
-        via "tend_u" Edges "b" "edge_cells" Cells;
-        via "tend_u" Edges "ke" "edge_cells" Cells;
-        site "tend_u" Edges "dc_edge" Geometry `Get Iter;
+        site "tend_u_at" Edges "pv_edge" Field `Get Iter;
+        via "tend_u_at" Edges "pv_edge" "eoe_edges" Edges;
+        via "tend_u_at" Edges "u" "eoe_edges" Edges;
+        via "tend_u_at" Edges "h_edge" "eoe_edges" Edges;
+        site "tend_u_at" Edges "edge_cells" Csr_table `Get (Stride 2);
+        via "tend_u_at" Edges "h" "edge_cells" Cells;
+        via "tend_u_at" Edges "b" "edge_cells" Cells;
+        via "tend_u_at" Edges "ke" "edge_cells" Cells;
+        site "tend_u_at" Edges "dc_edge" Geometry `Get Iter;
         site "tend_u" Edges "out" Field `Set Iter;
       ];
-      (* Operators.tracer_edge *)
+      (* C1 and del4: the Laplacian added into the tendency *)
       [
-        site "tracer_edge" Edges "edge_cells" Csr_table `Get (Stride 2);
-        via "tracer_edge" Edges "tracer" "edge_cells" Cells;
-        site "tracer_edge" Edges "u" Field `Get Iter;
+        site "dissipation" Edges "tend_u" Field `Get Iter;
+        site "dissipation" Edges "tend_u" Field `Set Iter;
+        site "del4_dissipation" Edges "tend_u" Field `Get Iter;
+        site "del4_dissipation" Edges "tend_u" Field `Set Iter;
+        site "velocity_laplacian" Edges "out" Field `Set Iter;
+      ];
+      (* Operators.tracer_edge_at *)
+      [
+        site "tracer_edge_at" Edges "edge_cells" Csr_table `Get (Stride 2);
+        via "tracer_edge_at" Edges "tracer" "edge_cells" Cells;
+        site "tracer_edge_at" Edges "u" Field `Get Iter;
         site "tracer_edge" Edges "out" Field `Set Iter;
       ];
-      (* Operators.tend_tracer *)
-      cell_row "tend_tracer" [ "cell_edges"; "cell_edge_signs" ];
+      (* Operators.tend_tracer_at *)
+      cell_row "tend_tracer_at" [ "cell_edges"; "cell_edge_signs" ];
       [
-        via "tend_tracer" Cells "h_edge" "cell_edges" Edges;
-        via "tend_tracer" Cells "tracer_edge" "cell_edges" Edges;
-        via "tend_tracer" Cells "u" "cell_edges" Edges;
-        via_geom "tend_tracer" Cells "dv_edge" "cell_edges" Edges;
-        site "tend_tracer" Cells "area_cell" Geometry `Get Iter;
+        via "tend_tracer_at" Cells "h_edge" "cell_edges" Edges;
+        via "tend_tracer_at" Cells "tracer_edge" "cell_edges" Edges;
+        via "tend_tracer_at" Cells "u" "cell_edges" Edges;
+        via_geom "tend_tracer_at" Cells "dv_edge" "cell_edges" Edges;
+        site "tend_tracer_at" Cells "area_cell" Geometry `Get Iter;
         site "tend_tracer" Cells "out" Field `Set Iter;
       ];
-      (* Operators.velocity_laplacian *)
+      (* The fused chains: the member stores and ride-along operands.
+         X4/X5 ride along through Operators.accumulate_at, over cells or
+         edges. *)
+      List.concat_map
+        (fun loop ->
+          [
+            site "accumulate_at" loop "accum" Field `Get Iter;
+            site "accumulate_at" loop "accum" Field `Set Iter;
+            site "accumulate_at" loop "state" Field `Set Iter;
+          ])
+        [ Cells; Edges ];
       [
-        site "velocity_laplacian" Edges "edge_cells" Csr_table `Get (Stride 2);
-        site "velocity_laplacian" Edges "edge_vertices" Csr_table `Get
-          (Stride 2);
-        via "velocity_laplacian" Edges "divergence" "edge_cells" Cells;
-        via "velocity_laplacian" Edges "vorticity" "edge_vertices" Vertices;
-        site "velocity_laplacian" Edges "dc_edge" Geometry `Get Iter;
-        site "velocity_laplacian" Edges "dv_edge" Geometry `Get Iter;
-        site "velocity_laplacian" Edges "out" Field `Set Iter;
+        site "tend_h_chain" Cells "out" Field `Set Iter;
+        site "tend_u_chain" Edges "u" Field `Get Iter;
+        site "tend_u_chain" Edges "boundary_edge" Geometry `Get Iter;
+        site "tend_u_chain" Edges "out" Field `Set Iter;
+        site "diag_cells_chain" Cells "d2" Field `Set Iter;
+        site "diag_cells_chain" Cells "ke_out" Field `Set Iter;
+        site "diag_cells_chain" Cells "div_out" Field `Set Iter;
+        site "diag_cells_chain" Cells "tend_h" Field `Get Iter;
+        site "diag_edges_chain" Edges "h_edge_out" Field `Set Iter;
+        site "diag_edges_chain" Edges "v_out" Field `Set Iter;
+        site "diag_edges_chain" Edges "tend_u" Field `Get Iter;
+        site "vortex_chain" Vertices "vort_out" Field `Set Iter;
+        site "vortex_chain" Vertices "hv_out" Field `Set Iter;
+        site "vortex_chain" Vertices "f_vertex" Geometry `Get Iter;
+        site "vortex_chain" Vertices "pv_out" Field `Set Iter;
+        site "pv_edge_chain" Edges "v_out" Field `Set Iter;
+        site "pv_edge_chain" Edges "gn_out" Field `Set Iter;
+        site "pv_edge_chain" Edges "gt_out" Field `Set Iter;
+        site "pv_edge_chain" Edges "u" Field `Get Iter;
+        site "pv_edge_chain" Edges "v_tangential" Field `Get Iter;
+        site "pv_edge_chain" Edges "out" Field `Set Iter;
       ];
       (* Refactor.edge_to_cell_csr *)
       cell_row "edge_to_cell_csr" [ "cell_edge_signs"; "cell_edges" ];
@@ -528,127 +603,7 @@ let strided_catalog =
       ];
     ]
 
-(* --- the fused super-kernels -------------------------------------------- *)
-
-(* Every unsafe site in [Mpas_swe.Fused] (kernel names prefixed
-   ["fused."]).  The chains re-walk the same CSR rows as their member
-   kernels, so the shapes repeat the solo catalog; the optional
-   ride-along members (X4/X5 accumulation, dissipation, publication)
-   contribute their own guarded field sites.  Array names follow the
-   chain's local bindings where a member output is matched out
-   generically (the [out] of an optional diagnostics member). *)
-let fused_catalog =
-  let k name = "fused." ^ name in
-  List.concat
-    [
-      (* tend_h_chain: A1 [+X4] *)
-      cell_row (k "tend_h_chain") [ "cell_edges"; "cell_edge_signs" ];
-      [
-        via (k "tend_h_chain") Cells "h_edge" "cell_edges" Edges;
-        via (k "tend_h_chain") Cells "u" "cell_edges" Edges;
-        via_geom (k "tend_h_chain") Cells "dv_edge" "cell_edges" Edges;
-        site (k "tend_h_chain") Cells "area_cell" Geometry `Get Iter;
-        site (k "tend_h_chain") Cells "out" Field `Set Iter;
-        site (k "tend_h_chain") Cells "accum_h" Field `Get Iter;
-        site (k "tend_h_chain") Cells "accum_h" Field `Set Iter;
-        site (k "tend_h_chain") Cells "state_h" Field `Set Iter;
-      ];
-      (* tend_u_chain: B1 [+C1] [+X1] [+X2] [+X5] *)
-      eoe_row (k "tend_u_chain") [ "eoe_edges"; "eoe_weights" ];
-      [
-        site (k "tend_u_chain") Edges "pv_edge" Field `Get Iter;
-        via (k "tend_u_chain") Edges "pv_edge" "eoe_edges" Edges;
-        via (k "tend_u_chain") Edges "u" "eoe_edges" Edges;
-        site (k "tend_u_chain") Edges "u" Field `Get Iter;
-        via (k "tend_u_chain") Edges "h_edge" "eoe_edges" Edges;
-        site (k "tend_u_chain") Edges "edge_cells" Csr_table `Get (Stride 2);
-        site (k "tend_u_chain") Edges "edge_vertices" Csr_table `Get
-          (Stride 2);
-        via (k "tend_u_chain") Edges "h" "edge_cells" Cells;
-        via (k "tend_u_chain") Edges "b" "edge_cells" Cells;
-        via (k "tend_u_chain") Edges "ke" "edge_cells" Cells;
-        via (k "tend_u_chain") Edges "divergence" "edge_cells" Cells;
-        via (k "tend_u_chain") Edges "vorticity" "edge_vertices" Vertices;
-        site (k "tend_u_chain") Edges "dc_edge" Geometry `Get Iter;
-        site (k "tend_u_chain") Edges "dv_edge" Geometry `Get Iter;
-        site (k "tend_u_chain") Edges "boundary_edge" Geometry `Get Iter;
-        site (k "tend_u_chain") Edges "out" Field `Set Iter;
-        site (k "tend_u_chain") Edges "accum_u" Field `Get Iter;
-        site (k "tend_u_chain") Edges "accum_u" Field `Set Iter;
-        site (k "tend_u_chain") Edges "state_u" Field `Set Iter;
-      ];
-      (* diag_cells_chain: [H2] [+A2] [+A3] [+X4] *)
-      cell_row
-        (k "diag_cells_chain")
-        [ "cell_edges"; "cell_edge_signs"; "cell_neighbors" ];
-      [
-        site (k "diag_cells_chain") Cells "h" Field `Get Iter;
-        via (k "diag_cells_chain") Cells "h" "cell_neighbors" Cells;
-        via (k "diag_cells_chain") Cells "u" "cell_edges" Edges;
-        via_geom (k "diag_cells_chain") Cells "dc_edge" "cell_edges" Edges;
-        via_geom (k "diag_cells_chain") Cells "dv_edge" "cell_edges" Edges;
-        site (k "diag_cells_chain") Cells "area_cell" Geometry `Get Iter;
-        site (k "diag_cells_chain") Cells "out" Field `Set Iter;
-        site (k "diag_cells_chain") Cells "accum_h" Field `Get Iter;
-        site (k "diag_cells_chain") Cells "accum_h" Field `Set Iter;
-        site (k "diag_cells_chain") Cells "tend_h" Field `Get Iter;
-        site (k "diag_cells_chain") Cells "state_h" Field `Set Iter;
-      ];
-      (* diag_edges_chain: B2 [+G] [+X5] *)
-      eoe_row (k "diag_edges_chain") [ "eoe_edges"; "eoe_weights" ];
-      [
-        site (k "diag_edges_chain") Edges "edge_cells" Csr_table `Get
-          (Stride 2);
-        site (k "diag_edges_chain") Edges "dc_edge" Geometry `Get Iter;
-        via (k "diag_edges_chain") Edges "h" "edge_cells" Cells;
-        via (k "diag_edges_chain") Edges "d2fdx2_cell" "edge_cells" Cells;
-        site (k "diag_edges_chain") Edges "h_edge_out" Field `Set Iter;
-        via (k "diag_edges_chain") Edges "u" "eoe_edges" Edges;
-        site (k "diag_edges_chain") Edges "v_out" Field `Set Iter;
-        site (k "diag_edges_chain") Edges "accum_u" Field `Get Iter;
-        site (k "diag_edges_chain") Edges "accum_u" Field `Set Iter;
-        site (k "diag_edges_chain") Edges "tend_u" Field `Get Iter;
-        site (k "diag_edges_chain") Edges "state_u" Field `Set Iter;
-      ];
-      (* vortex_chain: D1 [+C2] [+D2] *)
-      [
-        site (k "vortex_chain") Vertices "vertex_edges" Csr_table `Get
-          (Stride 3);
-        site (k "vortex_chain") Vertices "vertex_edge_signs" Csr_table `Get
-          (Stride 3);
-        site (k "vortex_chain") Vertices "vertex_cells" Csr_table `Get
-          (Stride 3);
-        site (k "vortex_chain") Vertices "vertex_kite_areas" Csr_table `Get
-          (Stride 3);
-        via (k "vortex_chain") Vertices "u" "vertex_edges" Edges;
-        via_geom (k "vortex_chain") Vertices "dc_edge" "vertex_edges" Edges;
-        via (k "vortex_chain") Vertices "h" "vertex_cells" Cells;
-        site (k "vortex_chain") Vertices "area_triangle" Geometry `Get Iter;
-        site (k "vortex_chain") Vertices "f_vertex" Geometry `Get Iter;
-        site (k "vortex_chain") Vertices "vort_out" Field `Set Iter;
-        site (k "vortex_chain") Vertices "out" Field `Set Iter;
-      ];
-      (* pv_edge_chain: [G+] H1 [+F] *)
-      eoe_row (k "pv_edge_chain") [ "eoe_edges"; "eoe_weights" ];
-      [
-        site (k "pv_edge_chain") Edges "edge_cells" Csr_table `Get (Stride 2);
-        site (k "pv_edge_chain") Edges "edge_vertices" Csr_table `Get
-          (Stride 2);
-        via (k "pv_edge_chain") Edges "u" "eoe_edges" Edges;
-        site (k "pv_edge_chain") Edges "u" Field `Get Iter;
-        site (k "pv_edge_chain") Edges "v_out" Field `Set Iter;
-        via (k "pv_edge_chain") Edges "pv_cell" "edge_cells" Cells;
-        via (k "pv_edge_chain") Edges "pv_vertex" "edge_vertices" Vertices;
-        site (k "pv_edge_chain") Edges "dc_edge" Geometry `Get Iter;
-        site (k "pv_edge_chain") Edges "dv_edge" Geometry `Get Iter;
-        site (k "pv_edge_chain") Edges "gn_out" Field `Set Iter;
-        site (k "pv_edge_chain") Edges "gt_out" Field `Set Iter;
-        site (k "pv_edge_chain") Edges "v_tangential" Field `Get Iter;
-        site (k "pv_edge_chain") Edges "out" Field `Set Iter;
-      ];
-    ]
-
-let catalog = catalog @ strided_catalog @ fused_catalog
+let catalog = catalog @ strided_catalog
 
 (* --- discharging -------------------------------------------------------- *)
 
@@ -909,7 +864,13 @@ let scan_site_name s =
     (match s.sc_access with `Get -> "get" | `Set -> "set")
     s.sc_array s.sc_line
 
-let fun_re = Str.regexp "^let +\\(rec +\\)?\\([a-z_][A-Za-z0-9_']*\\)"
+(* A top-level binding opens a function, attributes included: both
+   [let[@inline always] tend_h_at ...] and [let rec[@inline] f ...]
+   match. *)
+let fun_re =
+  Str.regexp
+    ("^let\\(\\[@[^]]*\\]\\| \\)+\\(rec\\(\\[@[^]]*\\]\\| \\)+\\)?"
+   ^ "\\([a-z_][A-Za-z0-9_']*\\)")
 
 let alias_re =
   Str.regexp
@@ -941,7 +902,7 @@ let scan_file ~prefix path =
        let line = input_line ic in
        incr lineno;
        if Str.string_match fun_re line 0 then begin
-         fn := Str.matched_group 2 line;
+         fn := Str.matched_group 4 line;
          Hashtbl.reset aliases
        end;
        let pos = ref 0 in
@@ -990,7 +951,6 @@ let default_sources ~root =
   [
     ("", Filename.concat root "lib/swe/operators.ml");
     ("strided.", Filename.concat root "lib/swe/strided.ml");
-    ("fused.", Filename.concat root "lib/swe/fused.ml");
     ("", Filename.concat root "lib/patterns/refactor.ml");
   ]
 

@@ -151,8 +151,10 @@ type scan_site = {
 val scan_site_name : scan_site -> string
 
 val scan_file : prefix:string -> string -> scan_site list
-(** All unsafe sites of one source file, kernel names prefixed with
-    [prefix] (["strided."], ["fused."], or [""]). *)
+(** All unsafe sites of one source file, each attributed to the
+    top-level [let] that encloses it (attributes such as
+    [[@inline always]] included), kernel names prefixed with [prefix]
+    (["strided."] or [""]). *)
 
 val default_sources : root:string -> (string * string) list
 (** The kernel sources the catalog covers, as (prefix, path) pairs

@@ -272,7 +272,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           let lo, hi = bounds m.Mesh.n_cells part in
           Some
             ( (fun () ->
-                Fused.tend_h_chain m ~h_edge:diag.Fields.h_edge
+                Operators.tend_h_chain m ~h_edge:diag.Fields.h_edge
                   ~u:provis.Fields.u ~out:tend.Fields.tend_h ~x4:(x4_arg x4)
                   ~lo ~hi),
               rest )
@@ -294,7 +294,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           let boundary = x2 && Array.exists Fun.id m.Mesh.boundary_edge in
           Some
             ( (fun () ->
-                Fused.tend_u_chain m ~pv_average:cfg.Config.pv_average
+                Operators.tend_u_chain m ~pv_average:cfg.Config.pv_average
                   ~gravity:cfg.Config.gravity ~h:provis.Fields.h ~b:env.b
                   ~ke:diag.Fields.ke ~h_edge:diag.Fields.h_edge
                   ~u:provis.Fields.u ~pv_edge:diag.Fields.pv_edge
@@ -325,9 +325,9 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           else
             Some
               ( (fun () ->
-                  Fused.diag_cells_chain m ~h:src.Fields.h ~u:src.Fields.u ~d2
-                    ~ke_out ~div_out ~x4:(x4_arg x4) ~tend_h:tend.Fields.tend_h
-                    ~lo ~hi),
+                  Operators.diag_cells_chain m ~h:src.Fields.h
+                    ~u:src.Fields.u ~d2 ~ke_out ~div_out ~x4:(x4_arg x4)
+                    ~tend_h:tend.Fields.tend_h ~lo ~hi),
                 rest )
       | "B2" ->
           let g, rest = eat "G" rest0 in
@@ -338,7 +338,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           let lo, hi = bounds m.Mesh.n_edges part in
           Some
             ( (fun () ->
-                Fused.diag_edges_chain m ~order:cfg.Config.h_adv_order
+                Operators.diag_edges_chain m ~order:cfg.Config.h_adv_order
                   ~h:src.Fields.h ~d2fdx2_cell:diag.Fields.d2fdx2_cell
                   ~h_edge_out:diag.Fields.h_edge ~g:g_arg ~x5:(x5_arg x5)
                   ~tend_u:tend.Fields.tend_u ~lo ~hi),
@@ -351,7 +351,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           let lo, hi = bounds m.Mesh.n_vertices part in
           Some
             ( (fun () ->
-                Fused.vortex_chain m ~u:src.Fields.u ~h:src.Fields.h
+                Operators.vortex_chain m ~u:src.Fields.u ~h:src.Fields.h
                   ~vort_out:diag.Fields.vorticity ~hv_out ~pv_out ~lo ~hi),
               rest )
       | "G" | "H1" -> (
@@ -380,7 +380,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
               let lo, hi = bounds m.Mesh.n_edges part in
               Some
                 ( (fun () ->
-                    Fused.pv_edge_chain m ~g ~pv_cell:diag.Fields.pv_cell
+                    Operators.pv_edge_chain m ~g ~pv_cell:diag.Fields.pv_cell
                       ~pv_vertex:diag.Fields.pv_vertex
                       ~gn_out:diag.Fields.grad_pv_n
                       ~gt_out:diag.Fields.grad_pv_t ~f:f_arg ~lo ~hi),

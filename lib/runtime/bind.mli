@@ -87,9 +87,9 @@ val unpack_body :
     provisional fields, and X4/X5 additionally publish their slice of
     the accumulator into [env.state].  A fused task (more than one
     [members] entry) compiles to one closure running the chain
-    back-to-back over the task's tile, using the specialized
-    super-kernels of {!Mpas_swe.Fused} for recognized chain shapes and
-    the member-sequential bodies otherwise — both bit-identical to the
+    back-to-back over the task's tile, using the chain loops of
+    {!Mpas_swe.Operators} for recognized chain shapes and the
+    member-sequential bodies otherwise — both bit-identical to the
     unfused program.  Raises [Invalid_argument] for an id outside the
     registry or a reconstruction task without [env.recon]. *)
 val compile : env -> final:bool -> Spec.task -> unit -> unit

@@ -78,12 +78,13 @@ let program t = Option.map (fun c -> c.c_spec) t.t_cache
 
 (* A (super-)task's loop runs over its output space; tile count rounds
    the space length up into cache-sized blocks.  [`Auto] sizes the
-   block from the host CPU's private L2 (every lane of this runtime is
-   a CPU thread — the device lanes emulate the accelerator stream),
-   but never cuts a space into more than ~2 tiles per core the OS can
-   actually run: tiles below the cache block buy no locality, and
-   tiles beyond the stealable parallelism only buy scheduler
-   overhead. *)
+   block from the private L2 of the paper's host CPU model, a fixed
+   constant rather than a probe of the running machine (every lane of
+   this runtime is a CPU thread — the device lanes emulate the
+   accelerator stream), but never cuts a space into more than ~2 tiles
+   per core the OS can actually run: tiles below the cache block buy no
+   locality, and tiles beyond the stealable parallelism only buy
+   scheduler overhead. *)
 let tile_fn tiling (m : Mpas_mesh.Mesh.t) =
   match tiling with
   | `Off -> fun _ -> 1

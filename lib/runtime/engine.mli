@@ -19,12 +19,13 @@ open Mpas_swe
 type t
 
 (** How part tasks are tiled into cache-sized blocks.  [`Auto] sizes
-    the block from the host CPU's private L2 via
-    {!Mpas_machine.Hw.tile_elements}, capped so no space is cut into
-    more than ~2 tiles per core the OS reports
-    ([Domain.recommended_domain_count]) — finer tiles add scheduler
-    overhead without locality or stealable parallelism.  [`Block n]
-    forces [n] loop elements per tile. *)
+    the block from the private L2 of the paper's host CPU model
+    ({!Mpas_machine.Hw.xeon_e5_2680_v2}, a fixed constant, not a probe
+    of the running machine) via {!Mpas_machine.Hw.tile_elements},
+    capped so no space is cut into more than ~2 tiles per core the OS
+    reports ([Domain.recommended_domain_count]) — finer tiles add
+    scheduler overhead without locality or stealable parallelism.
+    [`Block n] forces [n] loop elements per tile. *)
 type tiling = [ `Off | `Auto | `Block of int ]
 
 (** [create ()] builds a runtime engine.
@@ -40,8 +41,9 @@ type tiling = [ `Off | `Auto | `Block of int ]
       device-class tasks.
     - [fuse] (default false): fuse legal kernel chains into
       super-tasks at compile time ({!Spec.build}'s [fuse]); fused
-      chains compile to the specialized super-kernels of
-      {!Mpas_swe.Fused}.
+      chains compile to the chain loops of {!Mpas_swe.Operators}
+      ([tend_h_chain] and friends), which call the same per-element
+      stencil bodies as the solo kernels.
     - [tiling] (default [`Off]): tile tasks into cache-sized blocks.
     - [log]: executor log receiving every retired task.
 

@@ -19,12 +19,15 @@ let iter pool ?on n f =
 
 (* Chunk runner of the CSR kernels: [body ~lo ~hi] walks positions
    [lo, hi) of the full range [0, n) or, with [on], of the index set.
-   Inside [body] each kernel writes its per-element work once, as a
-   local [[@inline always]] function [at], and drives it from two
-   explicit loop headers — one over indices, one over index-set
-   positions — so both walks compile to straight loops with no call
-   per element.  [at] must stay free of local closures, which would
-   block the inlining. *)
+   Every gather stencil writes its per-element work once, as a
+   top-level [[@inline always]] body [<name>_at] taking the CSR tables
+   and geometry arrays it reads as arguments.  A kernel binds those
+   arrays once, wraps the body in a local [at] that stores the result,
+   and drives [at] from two explicit loop headers — one over indices,
+   one over index-set positions — so both walks compile to straight
+   loops with no call per element.  The fused chains below call the
+   same bodies from a plain [lo, hi) loop.  Neither a body nor [at] may
+   define a local closure, which would block the inlining. *)
 let range pool ?on n body =
   let hi = match on with None -> n | Some idx -> Array.length idx in
   match pool with
@@ -49,6 +52,12 @@ let check_len kernel name a n =
       (Printf.sprintf "Operators.%s: %s has %d elements, need %d" kernel name
          (Array.length a) n)
 
+let check_lens kernel n fields =
+  List.iter (fun (name, a) -> check_len kernel name a n) fields
+
+let check_opt kernel name a n =
+  Option.iter (fun a -> check_len kernel name a n) a
+
 (* The index-set walk writes [out.(i)] unchecked for every listed [i],
    so the set is checked once at entry, before any write. *)
 let check_on kernel on n =
@@ -65,15 +74,39 @@ let check_on kernel on n =
 
 (* --- compute_solve_diagnostics ---------------------------------------- *)
 
+let[@inline always] d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge
+    dc_edge area_cell h c =
+  let j0 = Array.unsafe_get cell_offsets c
+  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+  let hc = Array.unsafe_get h c in
+  let acc = ref 0. in
+  for j = j0 to j1 - 1 do
+    let e = Array.unsafe_get cell_edges j in
+    acc :=
+      !acc
+      +. (Array.unsafe_get dv_edge e
+          *. (Array.unsafe_get h (Array.unsafe_get cell_neighbors j) -. hc)
+          /. Array.unsafe_get dc_edge e)
+  done;
+  !acc /. Array.unsafe_get area_cell c
+
 let d2fdx2 ?pool ?on (m : Mesh.t) ~h ~out =
-  iter pool ?on m.n_cells (fun c ->
-      let acc = ref 0. in
-      for j = 0 to m.n_edges_on_cell.(c) - 1 do
-        let e = m.edges_on_cell.(c).(j) in
-        let c' = m.cells_on_cell.(c).(j) in
-        acc := !acc +. (m.dv_edge.(e) *. (h.(c') -. h.(c)) /. m.dc_edge.(e))
-      done;
-      out.(c) <- !acc /. m.area_cell.(c))
+  let csr : Mesh.csr = Mesh.csr m in
+  check_lens "d2fdx2" m.n_cells [ ("h", h); ("out", out) ];
+  check_on "d2fdx2" on m.n_cells;
+  let cell_offsets = csr.cell_offsets
+  and cell_edges = csr.cell_edges
+  and cell_neighbors = csr.cell_neighbors in
+  let dv_edge = m.dv_edge and dc_edge = m.dc_edge and area_cell = m.area_cell in
+  range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        Array.unsafe_set out c
+          (d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge dc_edge
+             area_cell h c)
+      in
+      match on with
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let d2fdx2_scatter (m : Mesh.t) ~h ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -84,51 +117,67 @@ let d2fdx2_scatter (m : Mesh.t) ~h ~out =
     out.(c2) <- out.(c2) -. (flux /. m.area_cell.(c2))
   done
 
+(* [fourth] selects the fourth-order correction; [d2fdx2_cell] is read
+   only then. *)
+let[@inline always] h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e =
+  let c1 = Array.unsafe_get edge_cells (2 * e)
+  and c2 = Array.unsafe_get edge_cells ((2 * e) + 1) in
+  let mean = 0.5 *. (Array.unsafe_get h c1 +. Array.unsafe_get h c2) in
+  if fourth then
+    let dc = Array.unsafe_get dc_edge e in
+    mean
+    -. (dc *. dc /. 24.
+        *. (Array.unsafe_get d2fdx2_cell c1 +. Array.unsafe_get d2fdx2_cell c2))
+  else mean
+
 let h_edge ?pool ?on (m : Mesh.t) ~order ~h ~d2fdx2_cell ~out =
-  match (order : Config.h_adv_order) with
-  | Second ->
-      iter pool ?on m.n_edges (fun e ->
-          let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-          out.(e) <- 0.5 *. (h.(c1) +. h.(c2)))
-  | Fourth ->
-      iter pool ?on m.n_edges (fun e ->
-          let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-          let dc = m.dc_edge.(e) in
-          out.(e) <-
-            (0.5 *. (h.(c1) +. h.(c2)))
-            -. (dc *. dc /. 24. *. (d2fdx2_cell.(c1) +. d2fdx2_cell.(c2))))
+  let csr : Mesh.csr = Mesh.csr m in
+  let fourth = (order : Config.h_adv_order) = Config.Fourth in
+  check_len "h_edge" "h" h m.n_cells;
+  if fourth then check_len "h_edge" "d2fdx2_cell" d2fdx2_cell m.n_cells;
+  check_len "h_edge" "out" out m.n_edges;
+  check_on "h_edge" on m.n_edges;
+  let edge_cells = csr.edge_cells and dc_edge = m.dc_edge in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        Array.unsafe_set out e
+          (h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e)
+      in
+      match on with
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+
+let[@inline always] kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge
+    area_cell u c =
+  let j0 = Array.unsafe_get cell_offsets c
+  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+  let acc = ref 0. in
+  for j = j0 to j1 - 1 do
+    let e = Array.unsafe_get cell_edges j in
+    let ue = Array.unsafe_get u e in
+    acc :=
+      !acc
+      +. (0.25 *. Array.unsafe_get dc_edge e *. Array.unsafe_get dv_edge e *. ue
+          *. ue)
+  done;
+  !acc /. Array.unsafe_get area_cell c
 
 let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
   let csr : Mesh.csr = Mesh.csr m in
   check_len "kinetic_energy" "u" u m.n_edges;
   check_len "kinetic_energy" "out" out m.n_cells;
   check_on "kinetic_energy" on m.n_cells;
-  let offsets = csr.cell_offsets and edges = csr.cell_edges in
-  let dc = m.dc_edge and dv = m.dv_edge and area = m.area_cell in
+  let cell_offsets = csr.cell_offsets and cell_edges = csr.cell_edges in
+  let dc_edge = m.dc_edge and dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
       let[@inline always] at c =
-        let j0 = Array.unsafe_get offsets c
-        and j1 = Array.unsafe_get offsets (c + 1) in
-        let acc = ref 0. in
-        for j = j0 to j1 - 1 do
-          let e = Array.unsafe_get edges j in
-          let ue = Array.unsafe_get u e in
-          acc :=
-            !acc
-            +. (0.25 *. Array.unsafe_get dc e *. Array.unsafe_get dv e *. ue
-                *. ue)
-        done;
-        Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+        Array.unsafe_set out c
+          (kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge area_cell u
+             c)
       in
       match on with
-      | None ->
-          for c = lo to hi - 1 do
-            at c
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -139,38 +188,38 @@ let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
     out.(c2) <- out.(c2) +. (contrib /. m.area_cell.(c2))
   done
 
+let[@inline always] divergence_at cell_offsets cell_edges cell_edge_signs
+    dv_edge area_cell u c =
+  let j0 = Array.unsafe_get cell_offsets c
+  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+  let acc = ref 0. in
+  for j = j0 to j1 - 1 do
+    let e = Array.unsafe_get cell_edges j in
+    acc :=
+      !acc
+      +. (Array.unsafe_get cell_edge_signs j *. Array.unsafe_get u e
+          *. Array.unsafe_get dv_edge e)
+  done;
+  !acc /. Array.unsafe_get area_cell c
+
 let divergence ?pool ?on (m : Mesh.t) ~u ~out =
   let csr : Mesh.csr = Mesh.csr m in
   check_len "divergence" "u" u m.n_edges;
   check_len "divergence" "out" out m.n_cells;
   check_on "divergence" on m.n_cells;
-  let offsets = csr.cell_offsets
-  and edges = csr.cell_edges
-  and signs = csr.cell_edge_signs in
-  let dv = m.dv_edge and area = m.area_cell in
+  let cell_offsets = csr.cell_offsets
+  and cell_edges = csr.cell_edges
+  and cell_edge_signs = csr.cell_edge_signs in
+  let dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
       let[@inline always] at c =
-        let j0 = Array.unsafe_get offsets c
-        and j1 = Array.unsafe_get offsets (c + 1) in
-        let acc = ref 0. in
-        for j = j0 to j1 - 1 do
-          let e = Array.unsafe_get edges j in
-          acc :=
-            !acc
-            +. (Array.unsafe_get signs j *. Array.unsafe_get u e
-                *. Array.unsafe_get dv e)
-        done;
-        Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+        Array.unsafe_set out c
+          (divergence_at cell_offsets cell_edges cell_edge_signs dv_edge
+             area_cell u c)
       in
       match on with
-      | None ->
-          for c = lo to hi - 1 do
-            at c
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let divergence_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -181,35 +230,36 @@ let divergence_scatter (m : Mesh.t) ~u ~out =
     out.(c2) <- out.(c2) -. (flux /. m.area_cell.(c2))
   done
 
+let[@inline always] vorticity_at vertex_edges vertex_edge_signs dc_edge
+    area_triangle u v =
+  let b = 3 * v in
+  let acc = ref 0. in
+  for k = b to b + 2 do
+    let e = Array.unsafe_get vertex_edges k in
+    acc :=
+      !acc
+      +. (Array.unsafe_get vertex_edge_signs k *. Array.unsafe_get u e
+          *. Array.unsafe_get dc_edge e)
+  done;
+  !acc /. Array.unsafe_get area_triangle v
+
 let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
   let csr : Mesh.csr = Mesh.csr m in
   check_len "vorticity" "u" u m.n_edges;
   check_len "vorticity" "out" out m.n_vertices;
   check_on "vorticity" on m.n_vertices;
-  let ve = csr.vertex_edges and signs = csr.vertex_edge_signs in
-  let dc = m.dc_edge and area = m.area_triangle in
+  let vertex_edges = csr.vertex_edges
+  and vertex_edge_signs = csr.vertex_edge_signs in
+  let dc_edge = m.dc_edge and area_triangle = m.area_triangle in
   range pool ?on m.n_vertices (fun ~lo ~hi ->
       let[@inline always] at v =
-        let b = 3 * v in
-        let acc = ref 0. in
-        for k = b to b + 2 do
-          let e = Array.unsafe_get ve k in
-          acc :=
-            !acc
-            +. (Array.unsafe_get signs k *. Array.unsafe_get u e
-                *. Array.unsafe_get dc e)
-        done;
-        Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
+        Array.unsafe_set out v
+          (vorticity_at vertex_edges vertex_edge_signs dc_edge area_triangle u
+             v)
       in
       match on with
-      | None ->
-          for v = lo to hi - 1 do
-            at v
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for v = lo to hi - 1 do at v done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let vorticity_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_vertices 0.;
@@ -226,78 +276,79 @@ let vorticity_scatter (m : Mesh.t) ~u ~out =
       m.vertices_on_edge.(e)
   done
 
+let[@inline always] h_vertex_at vertex_cells vertex_kite_areas area_triangle h
+    v =
+  let b = 3 * v in
+  let acc = ref 0. in
+  for k = b to b + 2 do
+    acc :=
+      !acc
+      +. (Array.unsafe_get vertex_kite_areas k
+          *. Array.unsafe_get h (Array.unsafe_get vertex_cells k))
+  done;
+  !acc /. Array.unsafe_get area_triangle v
+
 let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
   let csr : Mesh.csr = Mesh.csr m in
   check_len "h_vertex" "h" h m.n_cells;
   check_len "h_vertex" "out" out m.n_vertices;
   check_on "h_vertex" on m.n_vertices;
-  let vc = csr.vertex_cells and kites = csr.vertex_kite_areas in
-  let area = m.area_triangle in
+  let vertex_cells = csr.vertex_cells
+  and vertex_kite_areas = csr.vertex_kite_areas in
+  let area_triangle = m.area_triangle in
   range pool ?on m.n_vertices (fun ~lo ~hi ->
       let[@inline always] at v =
-        let b = 3 * v in
-        let acc = ref 0. in
-        for k = b to b + 2 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get kites k
-                *. Array.unsafe_get h (Array.unsafe_get vc k))
-        done;
-        Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
+        Array.unsafe_set out v
+          (h_vertex_at vertex_cells vertex_kite_areas area_triangle h v)
       in
       match on with
-      | None ->
-          for v = lo to hi - 1 do
-            at v
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for v = lo to hi - 1 do at v done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let pv_vertex ?pool ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
   iter pool ?on m.n_vertices (fun v ->
       out.(v) <- (m.f_vertex.(v) +. vorticity.(v)) /. h_vertex.(v))
+
+let[@inline always] pv_cell_at cell_offsets cell_vertices vertex_cells
+    vertex_kite_areas area_cell pv_vertex c =
+  let j0 = Array.unsafe_get cell_offsets c
+  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+  let acc = ref 0. in
+  for j = j0 to j1 - 1 do
+    let v = Array.unsafe_get cell_vertices j in
+    let b = 3 * v in
+    (* The reverse link is validated by [Mesh.csr], so the third slot
+       is implied when the first two miss. *)
+    let k =
+      if Array.unsafe_get vertex_cells b = c then b
+      else if Array.unsafe_get vertex_cells (b + 1) = c then b + 1
+      else b + 2
+    in
+    acc :=
+      !acc
+      +. (Array.unsafe_get vertex_kite_areas k *. Array.unsafe_get pv_vertex v)
+  done;
+  !acc /. Array.unsafe_get area_cell c
 
 let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
   let csr : Mesh.csr = Mesh.csr m in
   check_len "pv_cell" "pv_vertex" pv_vertex m.n_vertices;
   check_len "pv_cell" "out" out m.n_cells;
   check_on "pv_cell" on m.n_cells;
-  let offsets = csr.cell_offsets
-  and verts = csr.cell_vertices
-  and vc = csr.vertex_cells
-  and kites = csr.vertex_kite_areas in
-  let area = m.area_cell in
+  let cell_offsets = csr.cell_offsets
+  and cell_vertices = csr.cell_vertices
+  and vertex_cells = csr.vertex_cells
+  and vertex_kite_areas = csr.vertex_kite_areas in
+  let area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
       let[@inline always] at c =
-        let j0 = Array.unsafe_get offsets c
-        and j1 = Array.unsafe_get offsets (c + 1) in
-        let acc = ref 0. in
-        for j = j0 to j1 - 1 do
-          let v = Array.unsafe_get verts j in
-          let b = 3 * v in
-          (* The reverse link is validated by [Mesh.csr], so the third slot
-             is implied when the first two miss. *)
-          let k =
-            if Array.unsafe_get vc b = c then b
-            else if Array.unsafe_get vc (b + 1) = c then b + 1
-            else b + 2
-          in
-          acc :=
-            !acc +. (Array.unsafe_get kites k *. Array.unsafe_get pv_vertex v)
-        done;
-        Array.unsafe_set out c (!acc /. Array.unsafe_get area c)
+        Array.unsafe_set out c
+          (pv_cell_at cell_offsets cell_vertices vertex_cells vertex_kite_areas
+             area_cell pv_vertex c)
       in
       match on with
-      | None ->
-          for c = lo to hi - 1 do
-            at c
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -310,86 +361,134 @@ let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
     done
   done
 
+let[@inline always] tangential_velocity_at eoe_offsets eoe_edges eoe_weights u
+    e =
+  let i0 = Array.unsafe_get eoe_offsets e
+  and i1 = Array.unsafe_get eoe_offsets (e + 1) in
+  let acc = ref 0. in
+  for i = i0 to i1 - 1 do
+    acc :=
+      !acc
+      +. (Array.unsafe_get eoe_weights i
+          *. Array.unsafe_get u (Array.unsafe_get eoe_edges i))
+  done;
+  !acc
+
 let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
   let csr : Mesh.csr = Mesh.csr m in
-  check_len "tangential_velocity" "u" u m.n_edges;
-  check_len "tangential_velocity" "out" out m.n_edges;
+  check_lens "tangential_velocity" m.n_edges [ ("u", u); ("out", out) ];
   check_on "tangential_velocity" on m.n_edges;
-  let offsets = csr.eoe_offsets
-  and eoe = csr.eoe_edges
-  and w = csr.eoe_weights in
+  let eoe_offsets = csr.eoe_offsets
+  and eoe_edges = csr.eoe_edges
+  and eoe_weights = csr.eoe_weights in
   range pool ?on m.n_edges (fun ~lo ~hi ->
       let[@inline always] at e =
-        let i0 = Array.unsafe_get offsets e
-        and i1 = Array.unsafe_get offsets (e + 1) in
-        let acc = ref 0. in
-        for i = i0 to i1 - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get w i *. Array.unsafe_get u (Array.unsafe_get eoe i))
-        done;
-        Array.unsafe_set out e !acc
+        Array.unsafe_set out e
+          (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e)
       in
       match on with
-      | None ->
-          for e = lo to hi - 1 do
-            at e
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+
+(* The two edge-gradient shapes: the difference of a cell field across
+   the edge over [dc], and of a vertex field along it over [dv].  H1 is
+   one of each; the velocity Laplacian is their difference. *)
+let[@inline always] grad_n_at edge_cells dc_edge x e =
+  (Array.unsafe_get x (Array.unsafe_get edge_cells ((2 * e) + 1))
+  -. Array.unsafe_get x (Array.unsafe_get edge_cells (2 * e)))
+  /. Array.unsafe_get dc_edge e
+
+let[@inline always] grad_t_at edge_vertices dv_edge x e =
+  (Array.unsafe_get x (Array.unsafe_get edge_vertices ((2 * e) + 1))
+  -. Array.unsafe_get x (Array.unsafe_get edge_vertices (2 * e)))
+  /. Array.unsafe_get dv_edge e
 
 let grad_pv ?pool ?on (m : Mesh.t) ~pv_cell ~pv_vertex ~out_n ~out_t =
-  iter pool ?on m.n_edges (fun e ->
-      let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-      let v1 = m.vertices_on_edge.(e).(0) and v2 = m.vertices_on_edge.(e).(1) in
-      out_n.(e) <- (pv_cell.(c2) -. pv_cell.(c1)) /. m.dc_edge.(e);
-      out_t.(e) <- (pv_vertex.(v2) -. pv_vertex.(v1)) /. m.dv_edge.(e))
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "grad_pv" "pv_cell" pv_cell m.n_cells;
+  check_len "grad_pv" "pv_vertex" pv_vertex m.n_vertices;
+  check_lens "grad_pv" m.n_edges [ ("out_n", out_n); ("out_t", out_t) ];
+  check_on "grad_pv" on m.n_edges;
+  let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
+  let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        Array.unsafe_set out_n e (grad_n_at edge_cells dc_edge pv_cell e);
+        Array.unsafe_set out_t e (grad_t_at edge_vertices dv_edge pv_vertex e)
+      in
+      match on with
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+
+(* F's point-wise operands arrive as values so the PV edge chain can
+   pass the gradients and tangential velocity it just computed. *)
+let[@inline always] pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt ~u
+    ~grad_n ~v ~grad_t e =
+  let base =
+    0.5
+    *. (Array.unsafe_get pv_vertex (Array.unsafe_get edge_vertices (2 * e))
+       +. Array.unsafe_get pv_vertex
+            (Array.unsafe_get edge_vertices ((2 * e) + 1)))
+  in
+  base -. (apvm_factor *. dt *. ((u *. grad_n) +. (v *. grad_t)))
 
 let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
     ~grad_pv_t ~u ~v_tangential ~out =
-  iter pool ?on m.n_edges (fun e ->
-      let v1 = m.vertices_on_edge.(e).(0) and v2 = m.vertices_on_edge.(e).(1) in
-      let base = 0.5 *. (pv_vertex.(v1) +. pv_vertex.(v2)) in
-      let advect = (u.(e) *. grad_pv_n.(e)) +. (v_tangential.(e) *. grad_pv_t.(e)) in
-      out.(e) <- base -. (apvm_factor *. dt *. advect))
+  let csr : Mesh.csr = Mesh.csr m in
+  check_len "pv_edge" "pv_vertex" pv_vertex m.n_vertices;
+  check_lens "pv_edge" m.n_edges
+    [ ("grad_pv_n", grad_pv_n); ("grad_pv_t", grad_pv_t); ("u", u);
+      ("v_tangential", v_tangential); ("out", out) ];
+  check_on "pv_edge" on m.n_edges;
+  let edge_vertices = csr.edge_vertices in
+  range pool ?on m.n_edges (fun ~lo ~hi ->
+      let[@inline always] at e =
+        Array.unsafe_set out e
+          (pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt
+             ~u:(Array.unsafe_get u e)
+             ~grad_n:(Array.unsafe_get grad_pv_n e)
+             ~v:(Array.unsafe_get v_tangential e)
+             ~grad_t:(Array.unsafe_get grad_pv_t e)
+             e)
+      in
+      match on with
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 (* --- compute_tend ------------------------------------------------------ *)
 
+let[@inline always] tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge
+    area_cell h_edge u c =
+  let j0 = Array.unsafe_get cell_offsets c
+  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+  let acc = ref 0. in
+  for j = j0 to j1 - 1 do
+    let e = Array.unsafe_get cell_edges j in
+    acc :=
+      !acc
+      +. (Array.unsafe_get cell_edge_signs j *. Array.unsafe_get h_edge e
+          *. Array.unsafe_get u e *. Array.unsafe_get dv_edge e)
+  done;
+  -.(!acc) /. Array.unsafe_get area_cell c
+
 let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
   let csr : Mesh.csr = Mesh.csr m in
-  check_len "tend_h" "h_edge" h_edge m.n_edges;
-  check_len "tend_h" "u" u m.n_edges;
+  check_lens "tend_h" m.n_edges [ ("h_edge", h_edge); ("u", u) ];
   check_len "tend_h" "out" out m.n_cells;
   check_on "tend_h" on m.n_cells;
-  let offsets = csr.cell_offsets
-  and edges = csr.cell_edges
-  and signs = csr.cell_edge_signs in
-  let dv = m.dv_edge and area = m.area_cell in
+  let cell_offsets = csr.cell_offsets
+  and cell_edges = csr.cell_edges
+  and cell_edge_signs = csr.cell_edge_signs in
+  let dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
       let[@inline always] at c =
-        let j0 = Array.unsafe_get offsets c
-        and j1 = Array.unsafe_get offsets (c + 1) in
-        let acc = ref 0. in
-        for j = j0 to j1 - 1 do
-          let e = Array.unsafe_get edges j in
-          acc :=
-            !acc
-            +. (Array.unsafe_get signs j *. Array.unsafe_get h_edge e
-                *. Array.unsafe_get u e *. Array.unsafe_get dv e)
-        done;
-        Array.unsafe_set out c (-.(!acc) /. Array.unsafe_get area c)
+        Array.unsafe_set out c
+          (tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge area_cell
+             h_edge u c)
       in
       match on with
-      | None ->
-          for c = lo to hi - 1 do
-            at c
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -400,84 +499,97 @@ let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
     out.(c2) <- out.(c2) +. (flux /. m.area_cell.(c2))
   done
 
+let[@inline always] tend_u_at pv_average eoe_offsets eoe_edges eoe_weights
+    edge_cells dc_edge gravity h b ke h_edge u pv_edge e =
+  (* Perp flux; the symmetric potential-vorticity average makes the
+     Coriolis force exactly energy-neutral. *)
+  let i0 = Array.unsafe_get eoe_offsets e
+  and i1 = Array.unsafe_get eoe_offsets (e + 1) in
+  let q_flux = ref 0. in
+  (match (pv_average : Config.pv_average) with
+  | Config.Symmetric ->
+      let pe = Array.unsafe_get pv_edge e in
+      for i = i0 to i1 - 1 do
+        let e' = Array.unsafe_get eoe_edges i in
+        let q = 0.5 *. (pe +. Array.unsafe_get pv_edge e') in
+        q_flux :=
+          !q_flux
+          +. (Array.unsafe_get eoe_weights i *. Array.unsafe_get u e'
+              *. Array.unsafe_get h_edge e' *. q)
+      done
+  | Config.Edge_only ->
+      let q = Array.unsafe_get pv_edge e in
+      for i = i0 to i1 - 1 do
+        let e' = Array.unsafe_get eoe_edges i in
+        q_flux :=
+          !q_flux
+          +. (Array.unsafe_get eoe_weights i *. Array.unsafe_get u e'
+              *. Array.unsafe_get h_edge e' *. q)
+      done);
+  let c1 = Array.unsafe_get edge_cells (2 * e)
+  and c2 = Array.unsafe_get edge_cells ((2 * e) + 1) in
+  (* Energies spelled out: a local closure here would keep the body
+     from being inlined. *)
+  let e1 =
+    (gravity *. (Array.unsafe_get h c1 +. Array.unsafe_get b c1))
+    +. Array.unsafe_get ke c1
+  and e2 =
+    (gravity *. (Array.unsafe_get h c2 +. Array.unsafe_get b c2))
+    +. Array.unsafe_get ke c2
+  in
+  !q_flux -. ((e2 -. e1) /. Array.unsafe_get dc_edge e)
+
 let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
     ~b ~ke ~h_edge ~u ~pv_edge ~out =
   let csr : Mesh.csr = Mesh.csr m in
-  check_len "tend_u" "h" h m.n_cells;
-  check_len "tend_u" "b" b m.n_cells;
-  check_len "tend_u" "ke" ke m.n_cells;
-  check_len "tend_u" "h_edge" h_edge m.n_edges;
-  check_len "tend_u" "u" u m.n_edges;
-  check_len "tend_u" "pv_edge" pv_edge m.n_edges;
-  check_len "tend_u" "out" out m.n_edges;
+  check_lens "tend_u" m.n_cells [ ("h", h); ("b", b); ("ke", ke) ];
+  check_lens "tend_u" m.n_edges
+    [ ("h_edge", h_edge); ("u", u); ("pv_edge", pv_edge); ("out", out) ];
   check_on "tend_u" on m.n_edges;
-  let offsets = csr.eoe_offsets
-  and eoe = csr.eoe_edges
-  and w = csr.eoe_weights
-  and ec = csr.edge_cells in
-  let dc = m.dc_edge in
+  let eoe_offsets = csr.eoe_offsets
+  and eoe_edges = csr.eoe_edges
+  and eoe_weights = csr.eoe_weights
+  and edge_cells = csr.edge_cells in
+  let dc_edge = m.dc_edge in
   range pool ?on m.n_edges (fun ~lo ~hi ->
       let[@inline always] at e =
-        (* Perp flux; the symmetric potential-vorticity average makes the
-           Coriolis force exactly energy-neutral. *)
-        let i0 = Array.unsafe_get offsets e
-        and i1 = Array.unsafe_get offsets (e + 1) in
-        let q_flux = ref 0. in
-        (match pv_average with
-        | Config.Symmetric ->
-            let pe = Array.unsafe_get pv_edge e in
-            for i = i0 to i1 - 1 do
-              let e' = Array.unsafe_get eoe i in
-              let q = 0.5 *. (pe +. Array.unsafe_get pv_edge e') in
-              q_flux :=
-                !q_flux
-                +. (Array.unsafe_get w i *. Array.unsafe_get u e'
-                    *. Array.unsafe_get h_edge e' *. q)
-            done
-        | Config.Edge_only ->
-            let q = Array.unsafe_get pv_edge e in
-            for i = i0 to i1 - 1 do
-              let e' = Array.unsafe_get eoe i in
-              q_flux :=
-                !q_flux
-                +. (Array.unsafe_get w i *. Array.unsafe_get u e'
-                    *. Array.unsafe_get h_edge e' *. q)
-            done);
-        let c1 = Array.unsafe_get ec (2 * e)
-        and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-        (* Energies spelled out: a local closure here would keep [at]
-           from being inlined. *)
-        let e1 =
-          (gravity *. (Array.unsafe_get h c1 +. Array.unsafe_get b c1))
-          +. Array.unsafe_get ke c1
-        and e2 =
-          (gravity *. (Array.unsafe_get h c2 +. Array.unsafe_get b c2))
-          +. Array.unsafe_get ke c2
-        in
-        let grad = (e2 -. e1) /. Array.unsafe_get dc e in
-        Array.unsafe_set out e (!q_flux -. grad)
+        Array.unsafe_set out e
+          (tend_u_at pv_average eoe_offsets eoe_edges eoe_weights edge_cells
+             dc_edge gravity h b ke h_edge u pv_edge e)
       in
       match on with
-      | None ->
-          for e = lo to hi - 1 do
-            at e
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+
+(* The vector Laplacian of the velocity at edges,
+   [grad(divergence) - curl(vorticity)]: C1, the biharmonic term and
+   [velocity_laplacian] all evaluate it through this body. *)
+let[@inline always] laplacian_at edge_cells edge_vertices dc_edge dv_edge
+    divergence vorticity e =
+  grad_n_at edge_cells dc_edge divergence e
+  -. grad_t_at edge_vertices dv_edge vorticity e
 
 let dissipation ?pool ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
-  if visc2 <> 0. then
-    iter pool ?on m.n_edges (fun e ->
-        let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-        let v1 = m.vertices_on_edge.(e).(0)
-        and v2 = m.vertices_on_edge.(e).(1) in
-        let lap =
-          ((divergence.(c2) -. divergence.(c1)) /. m.dc_edge.(e))
-          -. ((vorticity.(v2) -. vorticity.(v1)) /. m.dv_edge.(e))
+  if visc2 <> 0. then begin
+    let csr : Mesh.csr = Mesh.csr m in
+    check_len "dissipation" "divergence" divergence m.n_cells;
+    check_len "dissipation" "vorticity" vorticity m.n_vertices;
+    check_len "dissipation" "tend_u" tend_u m.n_edges;
+    check_on "dissipation" on m.n_edges;
+    let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
+    let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
+    range pool ?on m.n_edges (fun ~lo ~hi ->
+        let[@inline always] at e =
+          Array.unsafe_set tend_u e
+            (Array.unsafe_get tend_u e
+            +. visc2
+               *. laplacian_at edge_cells edge_vertices dc_edge dv_edge
+                    divergence vorticity e)
         in
-        tend_u.(e) <- tend_u.(e) +. (visc2 *. lap))
+        match on with
+        | None -> for e = lo to hi - 1 do at e done
+        | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+  end
 
 let local_forcing ?pool ?on (m : Mesh.t) ~drag ~u ~tend_u =
   if drag <> 0. then
@@ -506,70 +618,64 @@ let accumulate ?pool ?on_cells ?on_edges (m : Mesh.t) ~coef
 
 (* --- extensions beyond the paper's Table I ------------------------------ *)
 
+let[@inline always] tracer_edge_at scheme edge_cells tracer u e =
+  let c1 = Array.unsafe_get edge_cells (2 * e)
+  and c2 = Array.unsafe_get edge_cells ((2 * e) + 1) in
+  match (scheme : Config.tracer_adv) with
+  | Config.Centered ->
+      0.5 *. (Array.unsafe_get tracer c1 +. Array.unsafe_get tracer c2)
+  | Config.Upwind ->
+      if Array.unsafe_get u e >= 0. then Array.unsafe_get tracer c1
+      else Array.unsafe_get tracer c2
+
 let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
   let csr : Mesh.csr = Mesh.csr m in
   check_len "tracer_edge" "tracer" tracer m.n_cells;
-  check_len "tracer_edge" "u" u m.n_edges;
-  check_len "tracer_edge" "out" out m.n_edges;
+  check_lens "tracer_edge" m.n_edges [ ("u", u); ("out", out) ];
   check_on "tracer_edge" on m.n_edges;
-  let ec = csr.edge_cells in
+  let edge_cells = csr.edge_cells in
   range pool ?on m.n_edges (fun ~lo ~hi ->
       let[@inline always] at e =
-        let c1 = Array.unsafe_get ec (2 * e)
-        and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-        Array.unsafe_set out e
-          (match (scheme : Config.tracer_adv) with
-          | Config.Centered ->
-              0.5 *. (Array.unsafe_get tracer c1 +. Array.unsafe_get tracer c2)
-          | Config.Upwind ->
-              if Array.unsafe_get u e >= 0. then Array.unsafe_get tracer c1
-              else Array.unsafe_get tracer c2)
+        Array.unsafe_set out e (tracer_edge_at scheme edge_cells tracer u e)
       in
       match on with
-      | None ->
-          for e = lo to hi - 1 do
-            at e
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+
+let[@inline always] tend_tracer_at cell_offsets cell_edges cell_edge_signs
+    dv_edge area_cell h_edge tracer_edge u c =
+  let j0 = Array.unsafe_get cell_offsets c
+  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+  let acc = ref 0. in
+  for j = j0 to j1 - 1 do
+    let e = Array.unsafe_get cell_edges j in
+    acc :=
+      !acc
+      +. (Array.unsafe_get cell_edge_signs j *. Array.unsafe_get h_edge e
+          *. Array.unsafe_get tracer_edge e *. Array.unsafe_get u e
+          *. Array.unsafe_get dv_edge e)
+  done;
+  -.(!acc) /. Array.unsafe_get area_cell c
 
 let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   let csr : Mesh.csr = Mesh.csr m in
-  check_len "tend_tracer" "h_edge" h_edge m.n_edges;
-  check_len "tend_tracer" "u" u m.n_edges;
-  check_len "tend_tracer" "tracer_edge" tracer_edge m.n_edges;
+  check_lens "tend_tracer" m.n_edges
+    [ ("h_edge", h_edge); ("u", u); ("tracer_edge", tracer_edge) ];
   check_len "tend_tracer" "out" out m.n_cells;
   check_on "tend_tracer" on m.n_cells;
-  let offsets = csr.cell_offsets
-  and edges = csr.cell_edges
-  and signs = csr.cell_edge_signs in
-  let dv = m.dv_edge and area = m.area_cell in
+  let cell_offsets = csr.cell_offsets
+  and cell_edges = csr.cell_edges
+  and cell_edge_signs = csr.cell_edge_signs in
+  let dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
       let[@inline always] at c =
-        let j0 = Array.unsafe_get offsets c
-        and j1 = Array.unsafe_get offsets (c + 1) in
-        let acc = ref 0. in
-        for j = j0 to j1 - 1 do
-          let e = Array.unsafe_get edges j in
-          acc :=
-            !acc
-            +. (Array.unsafe_get signs j *. Array.unsafe_get h_edge e
-                *. Array.unsafe_get tracer_edge e *. Array.unsafe_get u e
-                *. Array.unsafe_get dv e)
-        done;
-        Array.unsafe_set out c (-.(!acc) /. Array.unsafe_get area c)
+        Array.unsafe_set out c
+          (tend_tracer_at cell_offsets cell_edges cell_edge_signs dv_edge
+             area_cell h_edge tracer_edge u c)
       in
       match on with
-      | None ->
-          for c = lo to hi - 1 do
-            at c
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let tend_tracer_scatter (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -586,41 +692,295 @@ let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
   check_len "velocity_laplacian" "vorticity" vorticity m.n_vertices;
   check_len "velocity_laplacian" "out" out m.n_edges;
   check_on "velocity_laplacian" on m.n_edges;
-  let ec = csr.edge_cells and ev = csr.edge_vertices in
-  let dc = m.dc_edge and dv = m.dv_edge in
+  let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
+  let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
   range pool ?on m.n_edges (fun ~lo ~hi ->
       let[@inline always] at e =
-        let c1 = Array.unsafe_get ec (2 * e)
-        and c2 = Array.unsafe_get ec ((2 * e) + 1) in
-        let v1 = Array.unsafe_get ev (2 * e)
-        and v2 = Array.unsafe_get ev ((2 * e) + 1) in
         Array.unsafe_set out e
-          (((Array.unsafe_get divergence c2 -. Array.unsafe_get divergence c1)
-           /. Array.unsafe_get dc e)
-          -. ((Array.unsafe_get vorticity v2 -. Array.unsafe_get vorticity v1)
-             /. Array.unsafe_get dv e))
+          (laplacian_at edge_cells edge_vertices dc_edge dv_edge divergence
+             vorticity e)
       in
       match on with
-      | None ->
-          for e = lo to hi - 1 do
-            at e
-          done
-      | Some idx ->
-          for k = lo to hi - 1 do
-            at idx.(k)
-          done)
+      | None -> for e = lo to hi - 1 do at e done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
 
 let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
-  if visc4 <> 0. then
-    iter pool ?on m.n_edges (fun e ->
-        let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-        let v1 = m.vertices_on_edge.(e).(0)
-        and v2 = m.vertices_on_edge.(e).(1) in
-        let lap2 =
-          ((div_lap.(c2) -. div_lap.(c1)) /. m.dc_edge.(e))
-          -. ((vort_lap.(v2) -. vort_lap.(v1)) /. m.dv_edge.(e))
+  if visc4 <> 0. then begin
+    let csr : Mesh.csr = Mesh.csr m in
+    check_len "del4_dissipation" "div_lap" div_lap m.n_cells;
+    check_len "del4_dissipation" "vort_lap" vort_lap m.n_vertices;
+    check_len "del4_dissipation" "tend_u" tend_u m.n_edges;
+    check_on "del4_dissipation" on m.n_edges;
+    let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
+    let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
+    range pool ?on m.n_edges (fun ~lo ~hi ->
+        let[@inline always] at e =
+          Array.unsafe_set tend_u e
+            (Array.unsafe_get tend_u e
+            -. visc4
+               *. laplacian_at edge_cells edge_vertices dc_edge dv_edge div_lap
+                    vort_lap e)
         in
-        tend_u.(e) <- tend_u.(e) -. (visc4 *. lap2))
+        match on with
+        | None -> for e = lo to hi - 1 do at e done
+        | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+  end
+
+(* --- fused chains ------------------------------------------------------- *)
+
+(* Each chain runs a legal kernel chain, as packed by the runtime's
+   spec planner, over one contiguous tile [lo, hi) of its index space.
+   Per element it calls the member bodies above in chain order,
+   carrying a value in a register where a member point-reads what the
+   previous member just wrote.  Every member output array is still
+   written, so the chain's union footprint stays observable, and the
+   result is bitwise that of the member kernels run back to back over
+   the tile: the bodies are the very ones the kernels run.  The chains
+   index unchecked, so the tile and every array a selected member
+   touches are checked at entry, before any write. *)
+
+let check_tile kernel ~lo ~hi n =
+  if lo < 0 || lo > hi || hi > n then
+    invalid_arg
+      (Printf.sprintf "Operators.%s: tile [%d, %d) outside [0, %d)" kernel lo
+         hi n)
+
+(* [x = Some (coef, accum, publish)]: the accumulative update (X4/X5)
+   riding a chain. *)
+let check_accum kernel x n =
+  Option.iter
+    (fun (_, accum, publish) ->
+      check_len kernel "accum" accum n;
+      check_opt kernel "publish" publish n)
+    x
+
+(* [accum += coef * t]; in the final substep the sum is published into
+   the state as well. *)
+let[@inline always] accumulate_at accum publish coef t i =
+  let a = Array.unsafe_get accum i +. (coef *. t) in
+  Array.unsafe_set accum i a;
+  match publish with None -> () | Some state -> Array.unsafe_set state i a
+
+let tend_h_chain (m : Mesh.t) ~h_edge ~u ~out ~x4 ~lo ~hi =
+  let csr : Mesh.csr = Mesh.csr m in
+  check_tile "tend_h_chain" ~lo ~hi m.n_cells;
+  check_lens "tend_h_chain" m.n_edges [ ("h_edge", h_edge); ("u", u) ];
+  check_len "tend_h_chain" "out" out m.n_cells;
+  check_accum "tend_h_chain" x4 m.n_cells;
+  let cell_offsets = csr.cell_offsets
+  and cell_edges = csr.cell_edges
+  and cell_edge_signs = csr.cell_edge_signs in
+  let dv_edge = m.dv_edge and area_cell = m.area_cell in
+  for c = lo to hi - 1 do
+    let t =
+      tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge area_cell
+        h_edge u c
+    in
+    Array.unsafe_set out c t;
+    match x4 with
+    | None -> ()
+    | Some (coef, accum, publish) -> accumulate_at accum publish coef t c
+  done
+
+let tend_u_chain (m : Mesh.t) ~pv_average ~gravity ~h ~b ~ke ~h_edge ~u
+    ~pv_edge ~out ~dissip ~drag ~boundary ~x5 ~lo ~hi =
+  let csr : Mesh.csr = Mesh.csr m in
+  check_tile "tend_u_chain" ~lo ~hi m.n_edges;
+  check_lens "tend_u_chain" m.n_cells [ ("h", h); ("b", b); ("ke", ke) ];
+  check_lens "tend_u_chain" m.n_edges
+    [ ("h_edge", h_edge); ("u", u); ("pv_edge", pv_edge); ("out", out) ];
+  Option.iter
+    (fun (_, divergence, vorticity) ->
+      check_len "tend_u_chain" "divergence" divergence m.n_cells;
+      check_len "tend_u_chain" "vorticity" vorticity m.n_vertices)
+    dissip;
+  check_accum "tend_u_chain" x5 m.n_edges;
+  let eoe_offsets = csr.eoe_offsets
+  and eoe_edges = csr.eoe_edges
+  and eoe_weights = csr.eoe_weights
+  and edge_cells = csr.edge_cells
+  and edge_vertices = csr.edge_vertices in
+  let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
+  let boundary_edge = m.boundary_edge in
+  for e = lo to hi - 1 do
+    let t =
+      ref
+        (tend_u_at pv_average eoe_offsets eoe_edges eoe_weights edge_cells
+           dc_edge gravity h b ke h_edge u pv_edge e)
+    in
+    (match dissip with
+    | None -> ()
+    | Some (visc2, divergence, vorticity) ->
+        t :=
+          !t
+          +. visc2
+             *. laplacian_at edge_cells edge_vertices dc_edge dv_edge
+                  divergence vorticity e);
+    if drag <> 0. then t := !t -. (drag *. Array.unsafe_get u e);
+    if boundary && Array.unsafe_get boundary_edge e then t := 0.;
+    Array.unsafe_set out e !t;
+    match x5 with
+    | None -> ()
+    | Some (coef, accum, publish) -> accumulate_at accum publish coef !t e
+  done
+
+let diag_cells_chain (m : Mesh.t) ~h ~u ~d2 ~ke_out ~div_out ~x4 ~tend_h ~lo
+    ~hi =
+  let csr : Mesh.csr = Mesh.csr m in
+  check_tile "diag_cells_chain" ~lo ~hi m.n_cells;
+  check_len "diag_cells_chain" "h" h m.n_cells;
+  check_len "diag_cells_chain" "u" u m.n_edges;
+  check_opt "diag_cells_chain" "d2" d2 m.n_cells;
+  check_opt "diag_cells_chain" "ke_out" ke_out m.n_cells;
+  check_opt "diag_cells_chain" "div_out" div_out m.n_cells;
+  check_accum "diag_cells_chain" x4 m.n_cells;
+  if Option.is_some x4 then
+    check_len "diag_cells_chain" "tend_h" tend_h m.n_cells;
+  let cell_offsets = csr.cell_offsets
+  and cell_edges = csr.cell_edges
+  and cell_edge_signs = csr.cell_edge_signs
+  and cell_neighbors = csr.cell_neighbors in
+  let dc_edge = m.dc_edge and dv_edge = m.dv_edge and area_cell = m.area_cell in
+  for c = lo to hi - 1 do
+    (match d2 with
+    | None -> ()
+    | Some d2 ->
+        Array.unsafe_set d2 c
+          (d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge dc_edge
+             area_cell h c));
+    (match ke_out with
+    | None -> ()
+    | Some ke_out ->
+        Array.unsafe_set ke_out c
+          (kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge area_cell
+             u c));
+    (match div_out with
+    | None -> ()
+    | Some div_out ->
+        Array.unsafe_set div_out c
+          (divergence_at cell_offsets cell_edges cell_edge_signs dv_edge
+             area_cell u c));
+    match x4 with
+    | None -> ()
+    | Some (coef, accum, publish) ->
+        accumulate_at accum publish coef (Array.unsafe_get tend_h c) c
+  done
+
+let diag_edges_chain (m : Mesh.t) ~order ~h ~d2fdx2_cell ~h_edge_out ~g ~x5
+    ~tend_u ~lo ~hi =
+  let csr : Mesh.csr = Mesh.csr m in
+  let fourth = (order : Config.h_adv_order) = Config.Fourth in
+  check_tile "diag_edges_chain" ~lo ~hi m.n_edges;
+  check_len "diag_edges_chain" "h" h m.n_cells;
+  if fourth then
+    check_len "diag_edges_chain" "d2fdx2_cell" d2fdx2_cell m.n_cells;
+  check_len "diag_edges_chain" "h_edge_out" h_edge_out m.n_edges;
+  Option.iter
+    (fun (u, v_out) ->
+      check_lens "diag_edges_chain" m.n_edges [ ("u", u); ("v_out", v_out) ])
+    g;
+  check_accum "diag_edges_chain" x5 m.n_edges;
+  if Option.is_some x5 then
+    check_len "diag_edges_chain" "tend_u" tend_u m.n_edges;
+  let edge_cells = csr.edge_cells
+  and eoe_offsets = csr.eoe_offsets
+  and eoe_edges = csr.eoe_edges
+  and eoe_weights = csr.eoe_weights in
+  let dc_edge = m.dc_edge in
+  for e = lo to hi - 1 do
+    Array.unsafe_set h_edge_out e
+      (h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e);
+    (match g with
+    | None -> ()
+    | Some (u, v_out) ->
+        Array.unsafe_set v_out e
+          (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e));
+    match x5 with
+    | None -> ()
+    | Some (coef, accum, publish) ->
+        accumulate_at accum publish coef (Array.unsafe_get tend_u e) e
+  done
+
+let vortex_chain (m : Mesh.t) ~u ~h ~vort_out ~hv_out ~pv_out ~lo ~hi =
+  let csr : Mesh.csr = Mesh.csr m in
+  check_tile "vortex_chain" ~lo ~hi m.n_vertices;
+  check_len "vortex_chain" "u" u m.n_edges;
+  check_len "vortex_chain" "h" h m.n_cells;
+  check_len "vortex_chain" "vort_out" vort_out m.n_vertices;
+  check_opt "vortex_chain" "hv_out" hv_out m.n_vertices;
+  check_opt "vortex_chain" "pv_out" pv_out m.n_vertices;
+  if Option.is_some pv_out && Option.is_none hv_out then
+    invalid_arg "Operators.vortex_chain: pv_out requires hv_out";
+  let vertex_edges = csr.vertex_edges
+  and vertex_edge_signs = csr.vertex_edge_signs
+  and vertex_cells = csr.vertex_cells
+  and vertex_kite_areas = csr.vertex_kite_areas in
+  let dc_edge = m.dc_edge
+  and area_triangle = m.area_triangle
+  and f_vertex = m.f_vertex in
+  for v = lo to hi - 1 do
+    let vort =
+      vorticity_at vertex_edges vertex_edge_signs dc_edge area_triangle u v
+    in
+    Array.unsafe_set vort_out v vort;
+    match hv_out with
+    | None -> ()
+    | Some hv_out -> (
+        let hv = h_vertex_at vertex_cells vertex_kite_areas area_triangle h v in
+        Array.unsafe_set hv_out v hv;
+        match pv_out with
+        | None -> ()
+        | Some pv_out ->
+            Array.unsafe_set pv_out v
+              ((Array.unsafe_get f_vertex v +. vort) /. hv))
+  done
+
+let pv_edge_chain (m : Mesh.t) ~g ~pv_cell ~pv_vertex ~gn_out ~gt_out ~f ~lo
+    ~hi =
+  let csr : Mesh.csr = Mesh.csr m in
+  check_tile "pv_edge_chain" ~lo ~hi m.n_edges;
+  check_len "pv_edge_chain" "pv_cell" pv_cell m.n_cells;
+  check_len "pv_edge_chain" "pv_vertex" pv_vertex m.n_vertices;
+  check_lens "pv_edge_chain" m.n_edges
+    [ ("gn_out", gn_out); ("gt_out", gt_out) ];
+  Option.iter
+    (fun (u, v_out) ->
+      check_lens "pv_edge_chain" m.n_edges [ ("u", u); ("v_out", v_out) ])
+    g;
+  Option.iter
+    (fun (_, _, u, v_tangential, out) ->
+      check_lens "pv_edge_chain" m.n_edges
+        [ ("u", u); ("v_tangential", v_tangential); ("out", out) ])
+    f;
+  let edge_cells = csr.edge_cells
+  and edge_vertices = csr.edge_vertices
+  and eoe_offsets = csr.eoe_offsets
+  and eoe_edges = csr.eoe_edges
+  and eoe_weights = csr.eoe_weights in
+  let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
+  for e = lo to hi - 1 do
+    (match g with
+    | None -> ()
+    | Some (u, v_out) ->
+        Array.unsafe_set v_out e
+          (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e));
+    let gn = grad_n_at edge_cells dc_edge pv_cell e
+    and gt = grad_t_at edge_vertices dv_edge pv_vertex e in
+    Array.unsafe_set gn_out e gn;
+    Array.unsafe_set gt_out e gt;
+    match f with
+    | None -> ()
+    | Some (apvm_factor, dt, u, v_tangential, out) ->
+        Array.unsafe_set out e
+          (pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt
+             ~u:(Array.unsafe_get u e) ~grad_n:gn
+             ~v:(Array.unsafe_get v_tangential e)
+             ~grad_t:gt e)
+  done
+
+(* The A4 [+X6] reconstruction chain lives in {!Reconstruct.run_range}:
+   its coefficient table is abstract, so the scalarized fused loop is
+   implemented next to it. *)
 
 let next_substep_tracers ?pool ?on (m : Mesh.t) ~coef ~(base : Fields.state)
     ~(tend : Fields.tendencies) ~(provis : Fields.state) =

@@ -15,28 +15,30 @@
     All functions write their full output range, so no zeroing is
     needed between steps.
 
-    The eleven hot gather kernels (A1, A2, A3, B1, C2, D1, E, G and the
-    tracer / velocity-Laplacian extensions) walk the packed
-    {!Mesh.csr} view of the connectivity with unsafe indexing; the
-    view is validated once when it is built, caller fields by a length
-    check at entry.  Each writes its per-element work once and drives
-    it from two loop headers: the full output range when [?on] is
-    absent, exactly the listed indices when it is given.  An index set
-    with an entry outside the output range raises [Invalid_argument]
-    before anything is written.  The [Mpas_gen.Stencil] executor,
-    running the matching [Mpas_gen.Library] spec, is the reference
-    these kernels are pinned to bit for bit. *)
+    Every gather stencil writes its per-element work once, as a
+    top-level [[@inline always]] body in [operators.ml] that takes the
+    packed {!Mesh.csr} tables and geometry arrays as arguments and
+    indexes them unchecked; the view is validated once when it is
+    built, caller fields by a length check at entry.  Three kinds of
+    caller share each body: the kernel's full-range loop (no [?on]),
+    its index-set loop (exactly the listed indices), and every fused
+    chain (below) that contains the stencil.  An index set with an
+    entry outside the output range raises [Invalid_argument] before
+    anything is written.  The [Mpas_gen.Stencil] executor, running the
+    matching [Mpas_gen.Library] spec, is the reference these kernels
+    are pinned to bit for bit. *)
 
 open Mpas_mesh
 open Mpas_par
 
-(** [pfor pool lo hi f]: plain loop without a pool, chunked parallel
-    loop with one.  Shared by every gather-form kernel. *)
-val pfor : Pool.t option -> int -> int -> (int -> unit) -> unit
-
-(** [iter pool ?on n f] runs [f] over [0..n-1], or over exactly the
-    indices of [on] when given. *)
-val iter : Pool.t option -> ?on:int array -> int -> (int -> unit) -> unit
+(** [range pool ?on n body] hands [body ~lo ~hi] the positions
+    [\[lo, hi)] of the full range [\[0, n)] — or, with [on], of the
+    index set — in one call without a pool, in chunks with one.  The
+    kernels drive a local per-element function from two loop headers
+    inside [body], one per walk, so neither makes a call per
+    element. *)
+val range :
+  Pool.t option -> ?on:int array -> int -> (lo:int -> hi:int -> unit) -> unit
 
 (** Every gather-form kernel accepts [?on]: when given, the loop runs
     over exactly those indices instead of the full output range — the
@@ -298,3 +300,118 @@ val blend :
   tend:Fields.tendencies ->
   out:Fields.state ->
   unit
+
+(** {1 Fused chains}
+
+    The runtime's fused super-tasks: each function runs a legal kernel
+    chain, as packed by the runtime's spec-level fusion planner, over
+    one contiguous tile [\[lo, hi)] of its index space, so a stolen or
+    tiled task sweeps its slice of every member once while the
+    intermediates are cache-hot.  Per element a chain calls the same
+    bodies as the member kernels above, carrying values in registers
+    where a member point-reads the previous member's output; every
+    member output array is still written, keeping the chain's union
+    footprint observable to the analysis layer.  Results are bitwise
+    those of the member kernels run back to back with [?on] set to the
+    tile.
+
+    The [x4]/[x5] accumulator triples are
+    [(coef, accumulator, publish)]: the accumulative-update member adds
+    [coef *] the fresh tendency into the accumulator and, in the final
+    substep ([publish = Some state_field]), stores the result into the
+    state as well.
+
+    Every chain raises [Invalid_argument] before any write when the
+    tile is not within [\[0, n\]] of its space, or when an array a
+    selected member touches is shorter than its space. *)
+
+val tend_h_chain :
+  Mesh.t ->
+  h_edge:float array ->
+  u:float array ->
+  out:float array ->
+  x4:(float * float array * float array option) option ->
+  lo:int ->
+  hi:int ->
+  unit
+(** A1 [+X4] over cells. *)
+
+val tend_u_chain :
+  Mesh.t ->
+  pv_average:Config.pv_average ->
+  gravity:float ->
+  h:float array ->
+  b:float array ->
+  ke:float array ->
+  h_edge:float array ->
+  u:float array ->
+  pv_edge:float array ->
+  out:float array ->
+  dissip:(float * float array * float array) option ->
+  drag:float ->
+  boundary:bool ->
+  x5:(float * float array * float array option) option ->
+  lo:int ->
+  hi:int ->
+  unit
+(** B1 [+C1] [+X1] [+X2] [+X5] over edges.  [dissip] is
+    [(visc2, divergence, vorticity)] (pass [None] when visc2 = 0,
+    matching C1's gate); [drag = 0.] and [boundary = false] likewise
+    make X1/X2 no-ops. *)
+
+val diag_cells_chain :
+  Mesh.t ->
+  h:float array ->
+  u:float array ->
+  d2:float array option ->
+  ke_out:float array option ->
+  div_out:float array option ->
+  x4:(float * float array * float array option) option ->
+  tend_h:float array ->
+  lo:int ->
+  hi:int ->
+  unit
+(** [H2] [+A2] [+A3] [+X4] over cells.  [d2 = None] when the advection
+    order is second (H2 no-op); [tend_h] is read only with [x4]. *)
+
+val diag_edges_chain :
+  Mesh.t ->
+  order:Config.h_adv_order ->
+  h:float array ->
+  d2fdx2_cell:float array ->
+  h_edge_out:float array ->
+  g:(float array * float array) option ->
+  x5:(float * float array * float array option) option ->
+  tend_u:float array ->
+  lo:int ->
+  hi:int ->
+  unit
+(** B2 [+G] [+X5] over edges.  [g] is [(u, v_tangential_out)];
+    [tend_u] is read only with [x5]. *)
+
+val vortex_chain :
+  Mesh.t ->
+  u:float array ->
+  h:float array ->
+  vort_out:float array ->
+  hv_out:float array option ->
+  pv_out:float array option ->
+  lo:int ->
+  hi:int ->
+  unit
+(** D1 [+C2] [+D2] over vertices.  [pv_out] requires [hv_out]
+    ([Invalid_argument] otherwise). *)
+
+val pv_edge_chain :
+  Mesh.t ->
+  g:(float array * float array) option ->
+  pv_cell:float array ->
+  pv_vertex:float array ->
+  gn_out:float array ->
+  gt_out:float array ->
+  f:(float * float * float array * float array * float array) option ->
+  lo:int ->
+  hi:int ->
+  unit
+(** [G+] H1 [+F] over edges.  [g] is [(u, v_tangential_out)]; [f] is
+    [(apvm_factor, dt, u, v_tangential, pv_edge_out)]. *)

@@ -51,72 +51,75 @@ let init (m : Mesh.t) =
   done;
   { coef; east; north }
 
-(* A4 alone: the Cartesian least-squares reconstruction.  Kept
-   bit-identical to the fused [run]: the accumulation is the same, only
-   the horizontal projection is deferred to [run_horizontal]. *)
-let run_cartesian ?pool ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
-  Operators.iter pool ?on m.n_cells (fun c ->
-      let acc = ref Vec3.zero in
-      let coefs = t.coef.(c) in
-      for j = 0 to m.n_edges_on_cell.(c) - 1 do
-        acc := Vec3.axpy u.(m.edges_on_cell.(c).(j)) coefs.(j) !acc
-      done;
-      let v = !acc in
-      out.ux.(c) <- v.Vec3.x;
-      out.uy.(c) <- v.Vec3.y;
-      out.uz.(c) <- v.Vec3.z)
+(* A4 at one cell, [V(c) = sum_j u(e_j) coef_j], with the Vec3
+   arithmetic scalarized: three float accumulators in [Vec3.axpy]'s
+   exact operation order, so nothing allocates per cell and every entry
+   point below stores the same float64 values. *)
+let[@inline always] cartesian_at coef edges_on_cell n_edges_on_cell u
+    (out : Fields.reconstruction) c =
+  let ax = ref 0. and ay = ref 0. and az = ref 0. in
+  let coefs = coef.(c) and row = edges_on_cell.(c) in
+  for j = 0 to n_edges_on_cell.(c) - 1 do
+    let a = Array.unsafe_get u (Array.unsafe_get row j) in
+    let cj = Array.unsafe_get coefs j in
+    ax := (a *. cj.Vec3.x) +. !ax;
+    ay := (a *. cj.Vec3.y) +. !ay;
+    az := (a *. cj.Vec3.z) +. !az
+  done;
+  out.ux.(c) <- !ax;
+  out.uy.(c) <- !ay;
+  out.uz.(c) <- !az
 
-(* X6 alone: project the stored Cartesian vector onto the local
-   east/north frame.  Reading the components back from [out] reproduces
-   exactly the dot products of the fused form (they are the same float64
-   values), so run_cartesian followed by run_horizontal matches [run]
-   bit for bit. *)
-let run_horizontal ?pool ?on t (m : Mesh.t) ~(out : Fields.reconstruction) =
-  Operators.iter pool ?on m.n_cells (fun c ->
-      let v = { Vec3.x = out.ux.(c); y = out.uy.(c); z = out.uz.(c) } in
-      out.zonal.(c) <- Vec3.dot v t.east.(c);
-      out.meridional.(c) <- Vec3.dot v t.north.(c))
+(* X6 at one cell: project the stored Cartesian vector onto the local
+   east/north frame, the dot products expanded in [Vec3.dot]'s order. *)
+let[@inline always] horizontal_at east north (out : Fields.reconstruction) c =
+  let vx = out.ux.(c) and vy = out.uy.(c) and vz = out.uz.(c) in
+  let e = east.(c) and n = north.(c) in
+  out.zonal.(c) <- (vx *. e.Vec3.x) +. (vy *. e.Vec3.y) +. (vz *. e.Vec3.z);
+  out.meridional.(c) <-
+    (vx *. n.Vec3.x) +. (vy *. n.Vec3.y) +. (vz *. n.Vec3.z)
 
-(* The fused-runtime tile form of A4 [+X6]: one contiguous cell range
-   with the Vec3 arithmetic scalarized — three float accumulators in
-   axpy's exact operation order, the dot products expanded in dot's
-   order — so no Vec3 record allocates inside the loop and the result
-   stays bit-identical to [run] (with [x6]) or [run_cartesian]
-   (without). *)
-let run_range t (m : Mesh.t) ~u ~(out : Fields.reconstruction) ~x6 ~lo ~hi =
+(* [u] is indexed unchecked through the mesh's own edge rows. *)
+let check_u (m : Mesh.t) u =
+  if Array.length u < m.n_edges then
+    invalid_arg
+      (Printf.sprintf "Reconstruct: u has %d elements, need %d"
+         (Array.length u) m.n_edges)
+
+(* A4 when [a4], X6 when [x6], over the full cell range or the index
+   set [on]. *)
+let sweep ?pool ?on t (m : Mesh.t) ~u ~out ~a4 ~x6 =
+  if a4 then check_u m u;
+  let coef = t.coef and east = t.east and north = t.north in
+  let edges_on_cell = m.edges_on_cell and n_edges_on_cell = m.n_edges_on_cell in
+  Operators.range pool ?on m.n_cells (fun ~lo ~hi ->
+      let[@inline always] at c =
+        if a4 then cartesian_at coef edges_on_cell n_edges_on_cell u out c;
+        if x6 then horizontal_at east north out c
+      in
+      match on with
+      | None -> for c = lo to hi - 1 do at c done
+      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+
+let run ?pool ?on t m ~u ~out = sweep ?pool ?on t m ~u ~out ~a4:true ~x6:true
+
+let run_cartesian ?pool ?on t m ~u ~out =
+  sweep ?pool ?on t m ~u ~out ~a4:true ~x6:false
+
+let run_horizontal ?pool ?on t m ~out =
+  sweep ?pool ?on t m ~u:[||] ~out ~a4:false ~x6:true
+
+(* The fused-runtime tile form of A4 [+X6]: the same bodies over one
+   contiguous cell range. *)
+let run_range t (m : Mesh.t) ~u ~out ~x6 ~lo ~hi =
+  if lo < 0 || lo > hi || hi > m.n_cells then
+    invalid_arg
+      (Printf.sprintf "Reconstruct.run_range: tile [%d, %d) outside [0, %d)"
+         lo hi m.n_cells);
+  check_u m u;
+  let coef = t.coef and east = t.east and north = t.north in
+  let edges_on_cell = m.edges_on_cell and n_edges_on_cell = m.n_edges_on_cell in
   for c = lo to hi - 1 do
-    let ax = ref 0. and ay = ref 0. and az = ref 0. in
-    let coefs = t.coef.(c) in
-    let row = m.edges_on_cell.(c) in
-    for j = 0 to m.n_edges_on_cell.(c) - 1 do
-      let a = Array.unsafe_get u (Array.unsafe_get row j) in
-      let cj = Array.unsafe_get coefs j in
-      ax := (a *. cj.Vec3.x) +. !ax;
-      ay := (a *. cj.Vec3.y) +. !ay;
-      az := (a *. cj.Vec3.z) +. !az
-    done;
-    let vx = !ax and vy = !ay and vz = !az in
-    out.ux.(c) <- vx;
-    out.uy.(c) <- vy;
-    out.uz.(c) <- vz;
-    if x6 then begin
-      let e = t.east.(c) and n = t.north.(c) in
-      out.zonal.(c) <- (vx *. e.Vec3.x) +. (vy *. e.Vec3.y) +. (vz *. e.Vec3.z);
-      out.meridional.(c) <-
-        (vx *. n.Vec3.x) +. (vy *. n.Vec3.y) +. (vz *. n.Vec3.z)
-    end
+    cartesian_at coef edges_on_cell n_edges_on_cell u out c;
+    if x6 then horizontal_at east north out c
   done
-
-let run ?pool ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
-  Operators.iter pool ?on m.n_cells (fun c ->
-      let acc = ref Vec3.zero in
-      let coefs = t.coef.(c) in
-      for j = 0 to m.n_edges_on_cell.(c) - 1 do
-        acc := Vec3.axpy u.(m.edges_on_cell.(c).(j)) coefs.(j) !acc
-      done;
-      let v = !acc in
-      out.ux.(c) <- v.Vec3.x;
-      out.uy.(c) <- v.Vec3.y;
-      out.uz.(c) <- v.Vec3.z;
-      out.zonal.(c) <- Vec3.dot v t.east.(c);
-      out.meridional.(c) <- Vec3.dot v t.north.(c))

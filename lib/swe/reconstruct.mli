@@ -38,8 +38,11 @@ val run_horizontal :
 
 (** The fused-runtime tile form: A4 over the contiguous cell range
     [lo, hi), with X6's projection riding the same sweep when [x6] is
-    set.  Bit-identical to {!run} / {!run_cartesian}; the Vec3
-    arithmetic is scalarized so nothing allocates per cell. *)
+    set.  All four entry points run the same per-cell bodies, with the
+    Vec3 arithmetic scalarized so nothing allocates per cell, and are
+    bitwise equal on the cells they cover.  Raises [Invalid_argument]
+    when [u] is shorter than the edge count or the tile is not within
+    [\[0, n_cells\]]. *)
 val run_range :
   t -> Mesh.t -> u:float array -> out:Fields.reconstruction -> x6:bool ->
   lo:int -> hi:int -> unit

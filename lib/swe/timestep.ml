@@ -74,7 +74,7 @@ let observed ?(registry = Mpas_obs.Metrics.default) e =
       (fun k -> (k, Metrics.timer ~registry ("swe.kernel." ^ kernel_name k)))
       all_kernels
   in
-  let layout = if e.gather then "csr" else "ragged" in
+  let layout = if e.gather then "csr" else "scatter" in
   let domains =
     match e.pool with Some p -> Mpas_par.Pool.size p | None -> 1
   in

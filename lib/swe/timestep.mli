@@ -76,8 +76,9 @@ val with_custom : engine -> custom -> engine
 (** [observed e] layers Obs instrumentation over [e]: every kernel
     invocation is timed into a [swe.kernel.<name>] histogram timer in
     [registry] (default: the process-wide registry) and wrapped in a
-    trace span (category ["kernel"], arguments recording the
-    connectivity layout and pool width) when a trace sink is set.
+    trace span (category ["kernel"], arguments recording the kernel
+    form — [layout] is ["csr"] for the gather engines and ["scatter"]
+    for {!original} — and the pool width) when a trace sink is set.
     [e]'s own instrument hook keeps running inside the measurement, so
     observation composes with existing hooks instead of replacing
     them.  With the no-op sink the added cost per kernel call is one

@@ -211,8 +211,8 @@ let test_bounds_out_of_range () =
          refuted)
   in
   Alcotest.(check bool)
-    "kinetic_energy's u load is among them" true
-    (List.mem "kinetic_energy" kernels)
+    "kinetic_energy_at's u load is among them" true
+    (List.mem "kinetic_energy_at" kernels)
 
 let test_bounds_offsets_drift () =
   let m = Lazy.force hex in
@@ -815,6 +815,44 @@ let test_bounds_scan_audit () =
              | Bounds.Unscanned _ -> false)
            (Bounds.scan_audit ~sources holey))
 
+(* A site inside an attributed top-level body belongs to that body,
+   not to the binding before it; an indented local [let[@inline]]
+   opens nothing. *)
+let test_bounds_scan_attributed_let () =
+  let path = Filename.temp_file "scan" ".ml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            (String.concat "\n"
+               [
+                 "let plain a i = Array.unsafe_get a i";
+                 "let[@inline always] body_at offsets x i =";
+                 "  Array.unsafe_get x (Array.unsafe_get offsets i)";
+                 "let rec[@inline] loop y i = Array.unsafe_set y i 0.";
+                 "let kernel out =";
+                 "  let[@inline always] at i = Array.unsafe_set out i 1. in";
+                 "  at 0";
+                 "";
+               ]));
+      let got =
+        List.map
+          (fun (s : Bounds.scan_site) ->
+            (s.Bounds.sc_kernel, s.Bounds.sc_array, s.Bounds.sc_line))
+          (Bounds.scan_file ~prefix:"p." path)
+      in
+      Alcotest.(check (list (triple string string int)))
+        "sites attributed to their enclosing top-level binding"
+        [
+          ("p.plain", "a", 1);
+          ("p.body_at", "x", 3);
+          ("p.body_at", "offsets", 3);
+          ("p.loop", "y", 4);
+          ("p.kernel", "out", 6);
+        ]
+        got)
+
 (* Run QCheck properties under an explicit seed, printed on failure so
    shrunk counterexamples reproduce: set QCHECK_SEED to replay a
    failing run. *)
@@ -907,6 +945,8 @@ let () =
             test_bounds_coverage_selftest;
           Alcotest.test_case "source scan agrees with catalog" `Quick
             test_bounds_scan_audit;
+          Alcotest.test_case "source scan attributes attributed lets" `Quick
+            test_bounds_scan_attributed_let;
         ] );
       ( "comm",
         [

@@ -328,10 +328,10 @@ let test_observed_step_trace () =
         (count "compute_solve_diagnostics" > 0);
       List.iter
         (fun e ->
-          Alcotest.(check bool)
-            (e.Trace.ev_name ^ " span carries a layout argument")
-            true
-            (List.mem_assoc "layout" e.Trace.ev_args))
+          Alcotest.(check (option string))
+            (e.Trace.ev_name ^ " span carries the csr layout")
+            (Some "csr")
+            (List.assoc_opt "layout" e.Trace.ev_args))
         kernel_spans;
       Alcotest.(check bool) "kernel spans well nested" true
         (well_nested spans);
@@ -341,7 +341,28 @@ let test_observed_step_trace () =
           "swe.kernel.compute_tend"
       with
       | None -> Alcotest.fail "compute_tend timer missing"
-      | Some s -> Alcotest.(check int) "timer agrees" 4 s.Metrics.t_count)
+      | Some s -> Alcotest.(check int) "timer agrees" 4 s.Metrics.t_count);
+  (* The scatter engine's spans name its form. *)
+  with_memory_sink (fun sink ->
+      let m = Lazy.force ico in
+      let model =
+        Model.init
+          ~engine:
+            (Timestep.observed ~registry:(Metrics.create ()) Timestep.original)
+          Williamson.Tc5 m
+      in
+      Model.run model ~steps:1;
+      let kernel_spans =
+        List.filter (fun e -> e.Trace.ev_cat = "kernel") (complete_spans sink)
+      in
+      Alcotest.(check bool) "scatter run traced" true (kernel_spans <> []);
+      List.iter
+        (fun e ->
+          Alcotest.(check (option string))
+            (e.Trace.ev_name ^ " span carries the scatter layout")
+            (Some "scatter")
+            (List.assoc_opt "layout" e.Trace.ev_args))
+        kernel_spans)
 
 (* --- no-op-sink overhead -------------------------------------------------- *)
 

@@ -846,8 +846,11 @@ let test_state_io_file_roundtrip_both_families () =
 (* Every CSR kernel must reproduce its [Mpas_gen.Library] spec, run by
    [Stencil.run], exactly: the spec keeps the kernel's operation order,
    so not even an ulp of difference is allowed.  Upwind
-   [tracer_edge], which the IR cannot express (no conditional), is
-   pinned to a direct per-edge expectation instead. *)
+   [tracer_edge] and second-order [h_edge], which have no spec (the IR
+   has no conditional; the Library covers the fourth order), are
+   pinned to direct per-edge expectations instead.  C1 [dissipation]
+   updates [tend_u] in place: its runner works on a copy and reports
+   every entry it listed or changed. *)
 
 type runner = ?pool:Mpas_par.Pool.t -> ?on:int array -> float array -> unit
 
@@ -873,6 +876,14 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
   Operators.vorticity m ~u ~out:vort;
   let tr_edge = Array.make m.n_edges 0. in
   Operators.tracer_edge m ~scheme:Config.Centered ~tracer ~u ~out:tr_edge;
+  let pv_cell = Array.make m.n_cells 0. in
+  Operators.pv_cell m ~pv_vertex ~out:pv_cell;
+  let v_tan = Array.make m.n_edges 0. in
+  Operators.tangential_velocity m ~u ~out:v_tan;
+  let grad_n = Array.init m.n_edges (fun _ -> Rng.uniform r (-1e-9) 1e-9) in
+  let grad_t = Array.init m.n_edges (fun _ -> Rng.uniform r (-1e-9) 1e-9) in
+  let tend_u = Array.init m.n_edges (fun _ -> Rng.uniform r (-1e-3) 1e-3) in
+  let apvm_factor = 0.5 and dt = 300. and visc2 = 0.75 in
   let env =
     {
       Mpas_gen.Stencil.mesh = m;
@@ -881,23 +892,41 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
           ("u", u); ("h", h); ("b", btopo); ("ke", ke); ("h_edge", h_edge);
           ("pv_vertex", pv_vertex); ("pv_edge", pv_edge); ("tracer", tracer);
           ("tracer_edge", tr_edge); ("divergence", div); ("vorticity", vort);
+          ("d2fdx2_cell", d2); ("pv_cell", pv_cell); ("v", v_tan);
+          ("grad_pv_n", grad_n); ("grad_pv_t", grad_t);
         ];
     }
   in
   let spec name : runner =
-    let k = Mpas_gen.Library.spec ~gravity ~apvm_dt:0. name in
+    let k =
+      Mpas_gen.Library.spec ~gravity ~apvm_dt:(apvm_factor *. dt) name
+    in
     fun ?pool ?on out -> Mpas_gen.Stencil.run ?pool ?on env k ~out
   in
-  let upwind : runner =
+  let per_edge value : runner =
    fun ?pool:_ ?on out ->
     let at e =
-      let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
-      out.(e) <- (if u.(e) >= 0. then tracer.(c1) else tracer.(c2))
+      out.(e) <- value m.cells_on_edge.(e).(0) m.cells_on_edge.(e).(1) e
     in
     match on with
     | None -> for e = 0 to m.n_edges - 1 do at e done
     | Some idx -> Array.iter at idx
   in
+  let upwind =
+    per_edge (fun c1 c2 e -> if u.(e) >= 0. then tracer.(c1) else tracer.(c2))
+  in
+  let second_order = per_edge (fun c1 c2 _ -> 0.5 *. (h.(c1) +. h.(c2))) in
+  (* [out] receives every listed entry of [t] and every entry [t] no
+     longer holds bitwise, so a stray write shows up as a non-NaN. *)
+  let report ?on t out =
+    Array.iteri
+      (fun e x -> if not (Float.equal x tend_u.(e)) then out.(e) <- x)
+      t;
+    match on with
+    | None -> Array.blit t 0 out 0 m.n_edges
+    | Some idx -> Array.iter (fun e -> out.(e) <- t.(e)) idx
+  in
+  let lap = spec "C1 velocity_laplacian" in
   [
     ( "A2 kinetic_energy", m.n_cells,
       (fun ?pool ?on out -> Operators.kinetic_energy ?pool ?on m ~u ~out),
@@ -948,7 +977,51 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
       (fun ?pool ?on out ->
         Operators.velocity_laplacian ?pool ?on m ~divergence:div
           ~vorticity:vort ~out),
-      spec "C1 velocity_laplacian" );
+      lap );
+    ( "H2 d2fdx2", m.n_cells,
+      (fun ?pool ?on out -> Operators.d2fdx2 ?pool ?on m ~h ~out),
+      spec "H2 d2fdx2" );
+    ( "B2 h_edge fourth", m.n_edges,
+      (fun ?pool ?on out ->
+        Operators.h_edge ?pool ?on m ~order:Config.Fourth ~h ~d2fdx2_cell:d2
+          ~out),
+      spec "B2 h_edge (4th order)" );
+    ( "B2 h_edge second", m.n_edges,
+      (fun ?pool ?on out ->
+        Operators.h_edge ?pool ?on m ~order:Config.Second ~h ~d2fdx2_cell:d2
+          ~out),
+      second_order );
+    ( "H1 grad_pv_n", m.n_edges,
+      (fun ?pool ?on out ->
+        Operators.grad_pv ?pool ?on m ~pv_cell ~pv_vertex ~out_n:out
+          ~out_t:(Array.make m.n_edges nan)),
+      spec "H1 grad_pv_n" );
+    ( "H1 grad_pv_t", m.n_edges,
+      (fun ?pool ?on out ->
+        Operators.grad_pv ?pool ?on m ~pv_cell ~pv_vertex
+          ~out_n:(Array.make m.n_edges nan) ~out_t:out),
+      spec "H1 grad_pv_t" );
+    ( "F pv_edge", m.n_edges,
+      (fun ?pool ?on out ->
+        Operators.pv_edge ?pool ?on m ~apvm_factor ~dt ~pv_vertex
+          ~grad_pv_n:grad_n ~grad_pv_t:grad_t ~u ~v_tangential:v_tan ~out),
+      spec "F pv_edge" );
+    ( "C1 dissipation", m.n_edges,
+      (fun ?pool ?on out ->
+        let t = Array.copy tend_u in
+        Operators.dissipation ?pool ?on m ~visc2 ~divergence:div
+          ~vorticity:vort ~tend_u:t;
+        report ?on t out),
+      fun ?pool ?on out ->
+        let l = Array.make m.n_edges nan in
+        lap ?pool ?on l;
+        (* once per listed occurrence, like the in-place kernel *)
+        let t = Array.copy tend_u in
+        let add e = t.(e) <- t.(e) +. (visc2 *. l.(e)) in
+        (match on with
+        | None -> for e = 0 to m.n_edges - 1 do add e done
+        | Some idx -> Array.iter add idx);
+        report ?on t out );
   ]
 
 let bitwise_equal a b =
@@ -1015,6 +1088,56 @@ let test_on_out_of_range_rejected () =
         [ n; -1 ])
     (csr_kernel_pairs m 57L)
 
+(* The chains index unchecked, so a tile outside the space or a short
+   ride-along array must be refused before the first write. *)
+let test_chain_inputs_rejected () =
+  let m = Lazy.force ico in
+  let nc = m.n_cells and ne = m.n_edges and nv = m.n_vertices in
+  let full n = Array.make n 1. in
+  (* long enough for every space, so only the array named is short *)
+  let out = Array.make (Int.max ne (Int.max nc nv)) nan in
+  let rejects name f =
+    let raised =
+      match f () with () -> false | exception Invalid_argument _ -> true
+    in
+    Alcotest.(check bool) (name ^ " raises") true raised;
+    Alcotest.(check bool) (name ^ " wrote nothing") true
+      (Array.for_all Float.is_nan out)
+  in
+  let tend_h ?(x4 = None) ~lo ~hi () =
+    Operators.tend_h_chain m ~h_edge:(full ne) ~u:(full ne) ~out ~x4 ~lo ~hi
+  in
+  rejects "lo = -1" (tend_h ~lo:(-1) ~hi:nc);
+  rejects "hi = n + 1" (tend_h ~lo:0 ~hi:(nc + 1));
+  rejects "lo > hi" (tend_h ~lo:2 ~hi:1);
+  rejects "short x4 accumulator"
+    (tend_h ~x4:(Some (1., full (nc - 1), None)) ~lo:0 ~hi:nc);
+  rejects "short x4 publish target"
+    (tend_h ~x4:(Some (1., full nc, Some (full (nc - 1)))) ~lo:0 ~hi:nc);
+  rejects "short dissipation vorticity" (fun () ->
+      Operators.tend_u_chain m ~pv_average:Config.Symmetric ~gravity
+        ~h:(full nc) ~b:(full nc) ~ke:(full nc) ~h_edge:(full ne) ~u:(full ne)
+        ~pv_edge:(full ne) ~out
+        ~dissip:(Some (1., full nc, full (nv - 1)))
+        ~drag:0. ~boundary:false ~x5:None ~lo:0 ~hi:ne);
+  rejects "short x4 tend_h" (fun () ->
+      Operators.diag_cells_chain m ~h:(full nc) ~u:(full ne) ~d2:(Some out)
+        ~ke_out:None ~div_out:None ~x4:(Some (1., full nc, None))
+        ~tend_h:(full (nc - 1)) ~lo:0 ~hi:nc);
+  rejects "short G output" (fun () ->
+      Operators.diag_edges_chain m ~order:Config.Second ~h:(full nc)
+        ~d2fdx2_cell:[||] ~h_edge_out:out
+        ~g:(Some (full ne, Array.make (ne - 1) nan))
+        ~x5:None ~tend_u:[||] ~lo:0 ~hi:ne);
+  rejects "pv_out without hv_out" (fun () ->
+      Operators.vortex_chain m ~u:(full ne) ~h:(full nc) ~vort_out:out
+        ~hv_out:None ~pv_out:(Some out) ~lo:0 ~hi:nv);
+  rejects "short F v_tangential" (fun () ->
+      Operators.pv_edge_chain m ~g:None ~pv_cell:(full nc) ~pv_vertex:(full nv)
+        ~gn_out:(full ne) ~gt_out:(full ne)
+        ~f:(Some (0.5, 1., full ne, full (ne - 1), full ne))
+        ~lo:0 ~hi:ne)
+
 (* --- properties -------------------------------------------------------------- *)
 
 (* A random unsorted subset of [0, n): empty, a singleton, or a
@@ -1055,6 +1178,279 @@ let prop_csr_matches_stencil =
         && agree ?pool (Lazy.force hex) (Int64.add seed 7L)
       in
       both () && Mpas_par.Pool.with_pool ~n_domains:2 (fun pool -> both ~pool ()))
+
+(* --- fused chains vs their member kernels --------------------------------- *)
+
+(* Every boolean combination of [n] ride-along flags. *)
+let subsets n =
+  List.init (1 lsl n) (fun k -> List.init n (fun i -> k land (1 lsl i) <> 0))
+
+(* The accumulator variants of a chain's X4/X5 member: absent, present,
+   present and publishing (the final substep). *)
+let accum_variants = [ `Off; `Accum; `Publish ]
+
+(* One chain case: [run ~chain] builds every array afresh from [seed]
+   (inputs random, outputs NaN, accumulators random), runs either the
+   chain over [lo, hi) or the member kernels back to back with [?on] =
+   that tile, and returns every array either may have written. *)
+let chain_cases (m : Mesh.t) seed ~lo ~hi =
+  let tile = Array.init (hi - lo) (fun k -> lo + k) in
+  let rand r n a b = Array.init n (fun _ -> Rng.uniform r a b) in
+  let nans n = Array.make n nan in
+  let coef = 0.125 in
+  (* the member-side X4/X5 plus publish, as the runtime binds them *)
+  let accum_members ~on_cells ~on_edges ~(tend : Fields.tendencies)
+      ~(accum : Fields.state) ~publish ~(state : Fields.state) =
+    Operators.accumulate ~on_cells ~on_edges m ~coef ~tend ~accum;
+    if publish then begin
+      Array.iter (fun c -> state.Fields.h.(c) <- accum.Fields.h.(c)) on_cells;
+      Array.iter (fun e -> state.Fields.u.(e) <- accum.Fields.u.(e)) on_edges
+    end
+  in
+  let st h u = { Fields.h; u; tracers = [||] } in
+  let td tend_h tend_u = { Fields.tend_h; tend_u; tend_tracers = [||] } in
+  let x_arg v accum publish =
+    match v with
+    | `Off -> None
+    | `Accum -> Some (coef, accum, None)
+    | `Publish -> Some (coef, accum, Some publish)
+  in
+  let nc = m.n_cells and ne = m.n_edges and nv = m.n_vertices in
+  List.concat
+    [
+      List.map
+        (fun x4 ->
+          ( "tend_h_chain",
+            fun ~chain ->
+              let r = Rng.create seed in
+              let h_edge = rand r ne 900. 1100. and u = rand r ne (-10.) 10. in
+              let out = nans nc and accum = rand r nc 900. 1100.
+              and publish = nans nc in
+              (if chain then
+                 Operators.tend_h_chain m ~h_edge ~u ~out
+                   ~x4:(x_arg x4 accum publish) ~lo ~hi
+               else begin
+                 Operators.tend_h ~on:tile m ~h_edge ~u ~out;
+                 if x4 <> `Off then
+                   accum_members ~on_cells:tile ~on_edges:[||]
+                     ~tend:(td out [||]) ~accum:(st accum [||])
+                     ~publish:(x4 = `Publish) ~state:(st publish [||])
+               end);
+              [ out; accum; publish ] ))
+        accum_variants;
+      List.concat_map
+        (fun x5 ->
+          List.map
+            (function
+              | [ edge_only; dissip; drag; boundary ] ->
+                  ( "tend_u_chain",
+                    fun ~chain ->
+                      let r = Rng.create seed in
+                      let h = rand r nc 900. 1100. and b = rand r nc 0. 100. in
+                      let ke = rand r nc 0. 50. in
+                      let h_edge = rand r ne 900. 1100. in
+                      let u = rand r ne (-10.) 10. in
+                      let pv_edge = rand r ne (-1e-6) 1e-6 in
+                      let divergence = rand r nc (-1e-5) 1e-5 in
+                      let vorticity = rand r nv (-1e-5) 1e-5 in
+                      let out = nans ne and accum = rand r ne (-10.) 10.
+                      and publish = nans ne in
+                      let pv_average =
+                        if edge_only then Config.Edge_only else Config.Symmetric
+                      in
+                      let visc2 = if dissip then 0.75 else 0. in
+                      let drag = if drag then 0.35 else 0. in
+                      (if chain then
+                         Operators.tend_u_chain m ~pv_average ~gravity ~h ~b ~ke
+                           ~h_edge ~u ~pv_edge ~out
+                           ~dissip:
+                             (if dissip then Some (visc2, divergence, vorticity)
+                              else None)
+                           ~drag ~boundary ~x5:(x_arg x5 accum publish) ~lo ~hi
+                       else begin
+                         let on = tile in
+                         Operators.tend_u ~on ~pv_average m ~gravity ~h ~b ~ke
+                           ~h_edge ~u ~pv_edge ~out;
+                         Operators.dissipation ~on m ~visc2 ~divergence
+                           ~vorticity ~tend_u:out;
+                         Operators.local_forcing ~on m ~drag ~u ~tend_u:out;
+                         if boundary then
+                           Operators.enforce_boundary_edge ~on m ~tend_u:out;
+                         if x5 <> `Off then
+                           accum_members ~on_cells:[||] ~on_edges:on
+                             ~tend:(td [||] out) ~accum:(st [||] accum)
+                             ~publish:(x5 = `Publish) ~state:(st [||] publish)
+                       end);
+                      [ out; accum; publish ] )
+              | _ -> assert false)
+            (subsets 4))
+        accum_variants;
+      List.concat_map
+        (fun x4 ->
+          List.map
+            (function
+              | [ d2; ke; div ] ->
+                  ( "diag_cells_chain",
+                    fun ~chain ->
+                      let r = Rng.create seed in
+                      let h = rand r nc 900. 1100. in
+                      let u = rand r ne (-10.) 10. in
+                      let tend_h = rand r nc (-1e-3) 1e-3 in
+                      let d2_out = nans nc and ke_out = nans nc
+                      and div_out = nans nc in
+                      let accum = rand r nc 900. 1100. and publish = nans nc in
+                      let opt b a = if b then Some a else None in
+                      (if chain then
+                         Operators.diag_cells_chain m ~h ~u
+                           ~d2:(opt d2 d2_out) ~ke_out:(opt ke ke_out)
+                           ~div_out:(opt div div_out)
+                           ~x4:(x_arg x4 accum publish) ~tend_h ~lo ~hi
+                       else begin
+                         let on = tile in
+                         if d2 then Operators.d2fdx2 ~on m ~h ~out:d2_out;
+                         if ke then
+                           Operators.kinetic_energy ~on m ~u ~out:ke_out;
+                         if div then Operators.divergence ~on m ~u ~out:div_out;
+                         if x4 <> `Off then
+                           accum_members ~on_cells:on ~on_edges:[||]
+                             ~tend:(td tend_h [||]) ~accum:(st accum [||])
+                             ~publish:(x4 = `Publish) ~state:(st publish [||])
+                       end);
+                      [ d2_out; ke_out; div_out; accum; publish ] )
+              | _ -> assert false)
+            (subsets 3))
+        accum_variants;
+      List.concat_map
+        (fun x5 ->
+          List.map
+            (function
+              | [ fourth; g ] ->
+                  ( "diag_edges_chain",
+                    fun ~chain ->
+                      let r = Rng.create seed in
+                      let h = rand r nc 900. 1100. in
+                      let d2fdx2_cell = rand r nc (-1e-6) 1e-6 in
+                      let u = rand r ne (-10.) 10. in
+                      let tend_u = rand r ne (-1e-3) 1e-3 in
+                      let h_edge_out = nans ne and v_out = nans ne in
+                      let accum = rand r ne (-10.) 10. and publish = nans ne in
+                      let order =
+                        if fourth then Config.Fourth else Config.Second
+                      in
+                      (if chain then
+                         Operators.diag_edges_chain m ~order ~h ~d2fdx2_cell
+                           ~h_edge_out
+                           ~g:(if g then Some (u, v_out) else None)
+                           ~x5:(x_arg x5 accum publish) ~tend_u ~lo ~hi
+                       else begin
+                         let on = tile in
+                         Operators.h_edge ~on m ~order ~h ~d2fdx2_cell
+                           ~out:h_edge_out;
+                         if g then
+                           Operators.tangential_velocity ~on m ~u ~out:v_out;
+                         if x5 <> `Off then
+                           accum_members ~on_cells:[||] ~on_edges:on
+                             ~tend:(td [||] tend_u) ~accum:(st [||] accum)
+                             ~publish:(x5 = `Publish) ~state:(st [||] publish)
+                       end);
+                      [ h_edge_out; v_out; accum; publish ] )
+              | _ -> assert false)
+            (subsets 2))
+        accum_variants;
+      List.map
+        (fun (hv, pv) ->
+          ( "vortex_chain",
+            fun ~chain ->
+              let r = Rng.create seed in
+              let u = rand r ne (-10.) 10. and h = rand r nc 900. 1100. in
+              let vort = nans nv and hv_arr = nans nv and pv_arr = nans nv in
+              (if chain then
+                 Operators.vortex_chain m ~u ~h ~vort_out:vort
+                   ~hv_out:(if hv then Some hv_arr else None)
+                   ~pv_out:(if pv then Some pv_arr else None)
+                   ~lo ~hi
+               else begin
+                 let on = tile in
+                 Operators.vorticity ~on m ~u ~out:vort;
+                 if hv then Operators.h_vertex ~on m ~h ~out:hv_arr;
+                 if pv then
+                   Operators.pv_vertex ~on m ~vorticity:vort ~h_vertex:hv_arr
+                     ~out:pv_arr
+               end);
+              [ vort; hv_arr; pv_arr ] ))
+        [ (false, false); (true, false); (true, true) ];
+      List.map
+        (function
+          | [ g; f ] ->
+              ( "pv_edge_chain",
+                fun ~chain ->
+                  let r = Rng.create seed in
+                  let u = rand r ne (-10.) 10. in
+                  let pv_cell = rand r nc (-1e-6) 1e-6 in
+                  let pv_vertex = rand r nv (-1e-6) 1e-6 in
+                  (* without G, F reads a tangential velocity given as input *)
+                  let v_tan = if g then nans ne else rand r ne (-10.) 10. in
+                  let gn = nans ne and gt = nans ne and pv_edge = nans ne in
+                  let apvm_factor = 0.5 and dt = 300. in
+                  (if chain then
+                     Operators.pv_edge_chain m
+                       ~g:(if g then Some (u, v_tan) else None)
+                       ~pv_cell ~pv_vertex ~gn_out:gn ~gt_out:gt
+                       ~f:
+                         (if f then Some (apvm_factor, dt, u, v_tan, pv_edge)
+                          else None)
+                       ~lo ~hi
+                   else begin
+                     let on = tile in
+                     if g then
+                       Operators.tangential_velocity ~on m ~u ~out:v_tan;
+                     Operators.grad_pv ~on m ~pv_cell ~pv_vertex ~out_n:gn
+                       ~out_t:gt;
+                     if f then
+                       Operators.pv_edge ~on m ~apvm_factor ~dt ~pv_vertex
+                         ~grad_pv_n:gn ~grad_pv_t:gt ~u ~v_tangential:v_tan
+                         ~out:pv_edge
+                   end);
+                  [ v_tan; gn; gt; pv_edge ] )
+          | _ -> assert false)
+        (subsets 2);
+    ]
+
+(* Each chain over a random tile, under every subset of its ride-along
+   members, is bitwise the member kernels run back to back on that
+   tile — including the NaN left everywhere outside it. *)
+let prop_chains_match_members =
+  QCheck.Test.make
+    ~name:"fused chains bit-identical to their member kernels on random tiles"
+    ~count:10
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let r = Rng.create (Int64.of_int seed) in
+      List.for_all
+        (fun (m : Mesh.t) ->
+          let space = function
+            | "tend_h_chain" | "diag_cells_chain" -> m.n_cells
+            | "vortex_chain" -> m.n_vertices
+            | _ -> m.n_edges
+          in
+          List.for_all
+            (fun name ->
+              let n = space name in
+              let a = Rng.int r (n + 1) and b = Rng.int r (n + 1) in
+              let lo = Int.min a b and hi = Int.max a b in
+              List.for_all
+                (fun (name', run) ->
+                  name' <> name
+                  || List.for_all2 bitwise_equal (run ~chain:true)
+                       (run ~chain:false))
+                (chain_cases m (Int64.of_int (Rng.int r 1_000_000)) ~lo ~hi))
+            [ "tend_h_chain"; "tend_u_chain"; "diag_cells_chain";
+              "diag_edges_chain"; "vortex_chain"; "pv_edge_chain" ])
+        (* a boundary mask on a strict subset gives X2 real work *)
+        (List.map
+           (fun m ->
+             Mesh.with_boundary_edges (Lazy.force m) (fun e -> e mod 7 = 0))
+           [ ico; hex ]))
 
 let prop_refactoring_equivalence =
   QCheck.Test.make ~name:"scatter = gather for random velocity fields"
@@ -1130,6 +1526,8 @@ let () =
             test_csr_bitwise_subset;
           Alcotest.test_case "on-subset out of range" `Quick
             test_on_out_of_range_rejected;
+          Alcotest.test_case "chain inputs checked" `Quick
+            test_chain_inputs_rejected;
         ] );
       ( "exact hex answers",
         [
@@ -1221,6 +1619,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_csr_matches_stencil;
+            prop_chains_match_members;
             prop_refactoring_equivalence;
             prop_ke_nonnegative;
             prop_divergence_of_any_field_integrates_to_zero;
