@@ -14,7 +14,8 @@
      measured-vs-roofline report;
    - [--json PATH]: micro-benchmarks only, dumped to PATH as a JSON
      object with a "benchmarks" array (name, ns/run, number of raw
-     measurements) and a "measured_vs_roofline" section joining a
+     measurements, and for the directly timed groups the quartiles
+     "iqr_ns") and a "measured_vs_roofline" section joining a
      measured serial profile with the Costmodel roofline per kernel
      (pretty-print a saved dump with [bin/obs_report]);
    - [--trace FILE]: run one observed RK-4 step (domain pool engine)
@@ -219,11 +220,12 @@ let bench_cases () =
     ]
   in
   let ensemble =
-    (* Member-batching amortization: one sequential batch step at 1, 8
-       and 64 members of the same Williamson case.  Sequential mode so
-       the row measures the layout effect alone (connectivity loaded
-       once per entity, applied to every member), not lane parallelism;
-       divide each row by its member count for per-member ms/step. *)
+    (* Member batching: one sequential batch step at 1, 8, 32 and 64
+       members of the same Williamson case, divided by the member count
+       for ms per member-step.  The A/B rows run the same number of
+       [Timestep.refactored] solo steps back to back on separate
+       workspaces (no reconstruction, as in the batch), so the pair
+       measures what batching adds over the solo kernels it calls. *)
     let engine_of members =
       let open Mpas_ensemble in
       let e =
@@ -235,13 +237,35 @@ let bench_cases () =
       done;
       e
     in
+    let solo_of members =
+      let dt = Williamson.recommended_dt Williamson.Tc5 m in
+      let runs =
+        Array.init members (fun _ ->
+            let state, b = Williamson.init Williamson.Tc5 m in
+            let work = Timestep.alloc_workspace m in
+            Timestep.init_diagnostics Timestep.refactored cfg m ~dt ~state
+              ~work;
+            (state, b, work))
+      in
+      fun () ->
+        Array.iter
+          (fun (state, b, work) ->
+            Timestep.step Timestep.refactored cfg m ~b ~dt ~state ~work ())
+          runs
+    in
     List.map
       (fun members ->
         let e = engine_of members in
         ( "ensemble (member batching)",
           Printf.sprintf "batch step, %d members" members,
           fun () -> Mpas_ensemble.Ensemble.step e () ))
-      [ 1; 8; 64 ]
+      [ 1; 8; 32; 64 ]
+    @ List.map
+        (fun members ->
+          ( "ensemble (member batching)",
+            Printf.sprintf "solo refactored steps, %d members" members,
+            solo_of members ))
+        [ 8; 32 ]
   in
   let serving =
     (* Queue throughput of the serving layer: a full submit -> admit ->
@@ -342,16 +366,22 @@ let measure_direct ~runs cases =
       let group, name, _ = cases.(i) in
       let s = samples.(i) in
       Array.sort compare s;
-      let median =
-        if runs land 1 = 1 then s.(runs / 2)
-        else 0.5 *. (s.((runs / 2) - 1) +. s.(runs / 2))
+      (* Linear interpolation between order statistics. *)
+      let quantile q =
+        let x = q *. float_of_int (runs - 1) in
+        let lo = int_of_float x in
+        let hi = min (runs - 1) (lo + 1) in
+        s.(lo) +. ((x -. float_of_int lo) *. (s.(hi) -. s.(lo)))
       in
-      (group ^ "/" ^ name, median, runs))
+      ( group ^ "/" ^ name,
+        quantile 0.5,
+        runs,
+        Some (quantile 0.25, quantile 0.75) ))
 
 (* Run Bechamel on every group (the direct groups through the
-   warmup-and-median timer above) and return (name, ns/run, runs)
+   warmup-and-median timer above) and return (name, ns/run, runs, iqr)
    rows, where [runs] is the number of raw measurements behind the
-   estimate. *)
+   estimate and [iqr] the quartiles of a directly timed row. *)
 let measure_all ~runs cases =
   let bechamel_cases, direct_cases =
     List.partition (fun (g, _, _) -> not (List.mem g direct_groups)) cases
@@ -380,7 +410,7 @@ let measure_all ~runs cases =
               | Some (b : Benchmark.t) -> b.stats.samples
               | None -> 0
             in
-            (name, ns, runs) :: acc)
+            (name, ns, runs, None) :: acc)
           results []
         |> List.sort compare)
       (tests_of_cases bechamel_cases)
@@ -391,7 +421,7 @@ let print_rows rows =
   print_endline "\n=== Bechamel micro-benchmarks (this machine) ===\n";
   Printf.printf "%-55s %15s\n" "benchmark" "time/run";
   List.iter
-    (fun (name, ns, _) ->
+    (fun (name, ns, _, _) ->
       let pretty =
         if ns >= 1e9 then Printf.sprintf "%8.3f  s" (ns /. 1e9)
         else if ns >= 1e6 then Printf.sprintf "%8.3f ms" (ns /. 1e6)
@@ -456,13 +486,18 @@ let write_json path rows report =
         ( "benchmarks",
           Jsonv.Arr
             (List.map
-               (fun (name, ns, runs) ->
+               (fun (name, ns, runs, iqr) ->
                  Jsonv.Obj
-                   [
-                     ("name", Jsonv.Str name);
-                     ("ns_per_run", Jsonv.Num ns);
-                     ("runs", Jsonv.Num (float_of_int runs));
-                   ])
+                   ([
+                      ("name", Jsonv.Str name);
+                      ("ns_per_run", Jsonv.Num ns);
+                      ("runs", Jsonv.Num (float_of_int runs));
+                    ]
+                   @
+                   match iqr with
+                   | Some (q1, q3) ->
+                       [ ("iqr_ns", Jsonv.Arr [ Jsonv.Num q1; Jsonv.Num q3 ]) ]
+                   | None -> []))
                rows) );
         ("measured_vs_roofline", Mpas_obs_report.Report.to_json report);
       ]

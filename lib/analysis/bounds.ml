@@ -32,12 +32,8 @@ type index =
           over [space] *)
   | Loaded_stride of { table : string; space : space; width : int }
       (** width * (value loaded from [table]) + k, k < width *)
-  | Member  (** the member loop variable of a strided kernel *)
-  | Slab of index
-      (** panel base + inner index into a panelled (AoSoA) slab:
-          [(m / bw) * size(space) * bw + inner * bw + (m mod bw)] *)
 
-let rec index_name = function
+let index_name = function
   | Iter -> "i"
   | Iter_next -> "i+1"
   | Row offs -> Printf.sprintf "j in %s row" offs
@@ -45,8 +41,6 @@ let rec index_name = function
   | Loaded { table; _ } -> Printf.sprintf "%s[.]" table
   | Loaded_stride { table; width; _ } ->
       Printf.sprintf "%d*%s[.]+k" width table
-  | Member -> "m"
-  | Slab inner -> Printf.sprintf "panel(m)+%s*bw" (index_name inner)
 
 type array_class =
   | Csr_offsets  (** a row-offsets table of the CSR view *)
@@ -78,15 +72,6 @@ type invariant =
   | Guarded_len of { field : string; space : space }
       (** runtime [check_len] guard at kernel entry: field length is at
           least the space size — an assumption, not a CSR invariant *)
-  | Slab_guard of { slab : string; space : space }
-      (** runtime [Strided.check_slab] guard at kernel entry: the slab
-          holds at least [mhi * size space] entries, so every member
-          base [m * size space] with [m < mhi] leaves a full stride in
-          bounds — an assumption, like [Guarded_len] *)
-  | Member_guard of { array : string }
-      (** runtime [Strided.check_range]/[check_params]/[check_flags]
-          guard: the per-member array covers members [[0, mhi)] — an
-          assumption *)
 
 let invariant_name = function
   | Offsets_shape_ok { offsets; rows } ->
@@ -102,15 +87,8 @@ let invariant_name = function
       Printf.sprintf "%s sized to %s" table (space_name space)
   | Guarded_len { field; space } ->
       Printf.sprintf "check_len guard: %s covers %s" field (space_name space)
-  | Slab_guard { slab; space } ->
-      Printf.sprintf "check_slab guard: %s covers members x %s" slab
-        (space_name space)
-  | Member_guard { array } ->
-      Printf.sprintf "member guard: %s covers the member range" array
 
-let is_assumption = function
-  | Guarded_len _ | Slab_guard _ | Member_guard _ -> true
-  | _ -> false
+let is_assumption = function Guarded_len _ -> true | _ -> false
 
 (* Obligations per index shape.  The loaded-value obligations pair the
    range of the connectivity entries with the size of the array they
@@ -147,19 +125,6 @@ let obligations (s : site) =
         In_range_ok { table; space };
         Strided_ok { table = s.s_array; space; width };
       ]
-  | Member -> [ Member_guard { array = s.s_array } ]
-  | Slab inner ->
-      (* The member base is covered by the slab guard; the inner index
-         must itself be in [0, size space) for the guarded stride. *)
-      let space, inner_obl =
-        match inner with
-        | Iter -> (s.s_loop, [])
-        | Loaded { table; space } -> (space, [ In_range_ok { table; space } ])
-        | _ ->
-            invalid_arg
-              ("Bounds: slab " ^ s.s_array ^ " with unsupported inner index")
-      in
-      Slab_guard { slab = s.s_array; space } :: inner_obl
 
 (* --- the catalog -------------------------------------------------------- *)
 
@@ -383,227 +348,6 @@ let catalog =
       ];
     ]
 
-(* --- the member-strided ensemble kernels -------------------------------- *)
-
-(* Every unsafe site in [Mpas_swe.Strided].  The CSR and geometry
-   shapes repeat the solo catalog (the strided kernels read the same
-   connectivity the same way); the new material is the slab accesses
-   [m * size + inner], whose member base leans on the [check_slab]
-   entry guard ([Slab_guard]) while the inner index discharges the
-   usual CSR obligations, and the per-member mask/parameter/flag reads
-   ([Member]) guarded by [check_range]/[check_params]/[check_flags]. *)
-let strided_catalog =
-  let k name = "strided." ^ name in
-  let mem kernel loop a = site (k kernel) loop a Field `Get Member in
-  let slab_iter kernel loop a access = site (k kernel) loop a Field access (Slab Iter) in
-  let slab_via kernel loop a table space =
-    site (k kernel) loop a Field `Get (Slab (Loaded { table; space }))
-  in
-  List.concat
-    [
-      [
-        mem "blit_state" Cells "on";
-        slab_iter "blit_state" Cells "src" `Get;
-        slab_iter "blit_state" Cells "dst" `Set;
-      ];
-      (* d2fdx2 *)
-      cell_row (k "d2fdx2") [ "cell_edges"; "cell_neighbors" ];
-      [
-        mem "d2fdx2" Cells "on";
-        slab_iter "d2fdx2" Cells "h" `Get;
-        slab_via "d2fdx2" Cells "h" "cell_neighbors" Cells;
-        via_geom (k "d2fdx2") Cells "dv_edge" "cell_edges" Edges;
-        via_geom (k "d2fdx2") Cells "dc_edge" "cell_edges" Edges;
-        site (k "d2fdx2") Cells "area_cell" Geometry `Get Iter;
-        slab_iter "d2fdx2" Cells "out" `Set;
-      ];
-      (* h_edge *)
-      [
-        mem "h_edge" Edges "on";
-        mem "h_edge" Edges "fourth";
-        site (k "h_edge") Edges "edge_cells" Csr_table `Get (Stride 2);
-        site (k "h_edge") Edges "dc_edge" Geometry `Get Iter;
-        slab_via "h_edge" Edges "h" "edge_cells" Cells;
-        slab_via "h_edge" Edges "d2fdx2_cell" "edge_cells" Cells;
-        slab_iter "h_edge" Edges "out" `Set;
-      ];
-      (* kinetic_energy *)
-      cell_row (k "kinetic_energy") [ "cell_edges" ];
-      [
-        mem "kinetic_energy" Cells "on";
-        slab_via "kinetic_energy" Cells "u" "cell_edges" Edges;
-        via_geom (k "kinetic_energy") Cells "dc_edge" "cell_edges" Edges;
-        via_geom (k "kinetic_energy") Cells "dv_edge" "cell_edges" Edges;
-        site (k "kinetic_energy") Cells "area_cell" Geometry `Get Iter;
-        slab_iter "kinetic_energy" Cells "out" `Set;
-      ];
-      (* divergence *)
-      cell_row (k "divergence") [ "cell_edges"; "cell_edge_signs" ];
-      [
-        mem "divergence" Cells "on";
-        slab_via "divergence" Cells "u" "cell_edges" Edges;
-        via_geom (k "divergence") Cells "dv_edge" "cell_edges" Edges;
-        site (k "divergence") Cells "area_cell" Geometry `Get Iter;
-        slab_iter "divergence" Cells "out" `Set;
-      ];
-      (* vorticity *)
-      [
-        mem "vorticity" Vertices "on";
-        site (k "vorticity") Vertices "vertex_edges" Csr_table `Get (Stride 3);
-        site (k "vorticity") Vertices "vertex_edge_signs" Csr_table `Get
-          (Stride 3);
-        slab_via "vorticity" Vertices "u" "vertex_edges" Edges;
-        via_geom (k "vorticity") Vertices "dc_edge" "vertex_edges" Edges;
-        site (k "vorticity") Vertices "area_triangle" Geometry `Get Iter;
-        slab_iter "vorticity" Vertices "out" `Set;
-      ];
-      (* h_vertex *)
-      [
-        mem "h_vertex" Vertices "on";
-        site (k "h_vertex") Vertices "vertex_cells" Csr_table `Get (Stride 3);
-        site (k "h_vertex") Vertices "vertex_kite_areas" Csr_table `Get
-          (Stride 3);
-        slab_via "h_vertex" Vertices "h" "vertex_cells" Cells;
-        site (k "h_vertex") Vertices "area_triangle" Geometry `Get Iter;
-        slab_iter "h_vertex" Vertices "out" `Set;
-      ];
-      (* pv_vertex: member-outer over the full vertex stride *)
-      [
-        mem "pv_vertex" Vertices "on";
-        slab_iter "pv_vertex" Vertices "f_vertex" `Get;
-        slab_iter "pv_vertex" Vertices "vorticity" `Get;
-        slab_iter "pv_vertex" Vertices "h_vertex" `Get;
-        slab_iter "pv_vertex" Vertices "out" `Set;
-      ];
-      (* pv_cell *)
-      cell_row (k "pv_cell") [ "cell_vertices" ];
-      [
-        mem "pv_cell" Cells "on";
-        site (k "pv_cell") Cells "vertex_cells" Csr_table `Get
-          (Loaded_stride { table = "cell_vertices"; space = Vertices; width = 3 });
-        site (k "pv_cell") Cells "vertex_kite_areas" Csr_table `Get
-          (Loaded_stride { table = "cell_vertices"; space = Vertices; width = 3 });
-        slab_via "pv_cell" Cells "pv_vertex" "cell_vertices" Vertices;
-        site (k "pv_cell") Cells "area_cell" Geometry `Get Iter;
-        slab_iter "pv_cell" Cells "out" `Set;
-      ];
-      (* tangential_velocity *)
-      eoe_row (k "tangential_velocity") [ "eoe_edges"; "eoe_weights" ];
-      [
-        mem "tangential_velocity" Edges "on";
-        slab_via "tangential_velocity" Edges "u" "eoe_edges" Edges;
-        slab_iter "tangential_velocity" Edges "out" `Set;
-      ];
-      (* grad_pv *)
-      [
-        mem "grad_pv" Edges "on";
-        site (k "grad_pv") Edges "edge_cells" Csr_table `Get (Stride 2);
-        site (k "grad_pv") Edges "edge_vertices" Csr_table `Get (Stride 2);
-        site (k "grad_pv") Edges "dc_edge" Geometry `Get Iter;
-        site (k "grad_pv") Edges "dv_edge" Geometry `Get Iter;
-        slab_via "grad_pv" Edges "pv_cell" "edge_cells" Cells;
-        slab_via "grad_pv" Edges "pv_vertex" "edge_vertices" Vertices;
-        slab_iter "grad_pv" Edges "out_n" `Set;
-        slab_iter "grad_pv" Edges "out_t" `Set;
-      ];
-      (* pv_edge *)
-      [
-        mem "pv_edge" Edges "on";
-        mem "pv_edge" Edges "apvm_factor";
-        mem "pv_edge" Edges "dt";
-        site (k "pv_edge") Edges "edge_vertices" Csr_table `Get (Stride 2);
-        slab_via "pv_edge" Edges "pv_vertex" "edge_vertices" Vertices;
-        slab_iter "pv_edge" Edges "u" `Get;
-        slab_iter "pv_edge" Edges "grad_pv_n" `Get;
-        slab_iter "pv_edge" Edges "grad_pv_t" `Get;
-        slab_iter "pv_edge" Edges "v_tangential" `Get;
-        slab_iter "pv_edge" Edges "out" `Set;
-      ];
-      (* tend_h *)
-      cell_row (k "tend_h") [ "cell_edges"; "cell_edge_signs" ];
-      [
-        mem "tend_h" Cells "on";
-        slab_via "tend_h" Cells "h_edge" "cell_edges" Edges;
-        slab_via "tend_h" Cells "u" "cell_edges" Edges;
-        via_geom (k "tend_h") Cells "dv_edge" "cell_edges" Edges;
-        site (k "tend_h") Cells "area_cell" Geometry `Get Iter;
-        slab_iter "tend_h" Cells "out" `Set;
-      ];
-      (* tend_u *)
-      eoe_row (k "tend_u") [ "eoe_edges"; "eoe_weights" ];
-      [
-        mem "tend_u" Edges "on";
-        mem "tend_u" Edges "symmetric";
-        mem "tend_u" Edges "gravity";
-        site (k "tend_u") Edges "edge_cells" Csr_table `Get (Stride 2);
-        site (k "tend_u") Edges "dc_edge" Geometry `Get Iter;
-        slab_iter "tend_u" Edges "pv_edge" `Get;
-        slab_via "tend_u" Edges "pv_edge" "eoe_edges" Edges;
-        slab_via "tend_u" Edges "u" "eoe_edges" Edges;
-        slab_via "tend_u" Edges "h_edge" "eoe_edges" Edges;
-        slab_via "tend_u" Edges "h" "edge_cells" Cells;
-        slab_via "tend_u" Edges "b" "edge_cells" Cells;
-        slab_via "tend_u" Edges "ke" "edge_cells" Cells;
-        slab_iter "tend_u" Edges "out" `Set;
-      ];
-      (* dissipation *)
-      [
-        mem "dissipation" Edges "on";
-        mem "dissipation" Edges "visc2";
-        site (k "dissipation") Edges "edge_cells" Csr_table `Get (Stride 2);
-        site (k "dissipation") Edges "edge_vertices" Csr_table `Get (Stride 2);
-        site (k "dissipation") Edges "dc_edge" Geometry `Get Iter;
-        site (k "dissipation") Edges "dv_edge" Geometry `Get Iter;
-        slab_via "dissipation" Edges "divergence" "edge_cells" Cells;
-        slab_via "dissipation" Edges "vorticity" "edge_vertices" Vertices;
-        slab_iter "dissipation" Edges "tend_u" `Get;
-        slab_iter "dissipation" Edges "tend_u" `Set;
-      ];
-      (* local_forcing *)
-      [
-        mem "local_forcing" Edges "on";
-        mem "local_forcing" Edges "drag";
-        slab_iter "local_forcing" Edges "u" `Get;
-        slab_iter "local_forcing" Edges "tend_u" `Get;
-        slab_iter "local_forcing" Edges "tend_u" `Set;
-      ];
-      (* enforce_boundary_edge *)
-      [
-        mem "enforce_boundary_edge" Edges "on";
-        site (k "enforce_boundary_edge") Edges "boundary_edge" Geometry `Get
-          Iter;
-        slab_iter "enforce_boundary_edge" Edges "tend_u" `Set;
-      ];
-      (* next_substep_state: cell stride then edge stride, member-outer.
-         [coef] is the per-panel scratch of substep coefficients,
-         indexed [mm - mb] within one panel — covered by the same
-         member-range contract as the mask reads. *)
-      [
-        mem "next_substep_state" Cells "on";
-        mem "next_substep_state" Cells "dt";
-        mem "next_substep_state" Cells "coef";
-        slab_iter "next_substep_state" Cells "base_h" `Get;
-        slab_iter "next_substep_state" Cells "tend_h" `Get;
-        slab_iter "next_substep_state" Cells "provis_h" `Set;
-        slab_iter "next_substep_state" Edges "base_u" `Get;
-        slab_iter "next_substep_state" Edges "tend_u" `Get;
-        slab_iter "next_substep_state" Edges "provis_u" `Set;
-      ];
-      (* accumulate *)
-      [
-        mem "accumulate" Cells "on";
-        mem "accumulate" Cells "dt";
-        mem "accumulate" Cells "coef";
-        slab_iter "accumulate" Cells "tend_h" `Get;
-        slab_iter "accumulate" Cells "accum_h" `Get;
-        slab_iter "accumulate" Cells "accum_h" `Set;
-        slab_iter "accumulate" Edges "tend_u" `Get;
-        slab_iter "accumulate" Edges "accum_u" `Get;
-        slab_iter "accumulate" Edges "accum_u" `Set;
-      ];
-    ]
-
-let catalog = catalog @ strided_catalog
 
 (* --- discharging -------------------------------------------------------- *)
 
@@ -639,7 +383,7 @@ let holds (errors : Mesh.Csr.error list) inv =
       table_clean table
         ~pred:(function Mesh.Csr.Out_of_range _ -> true | _ -> false)
   | Strided_ok { table; _ } | Sized_ok { table; _ } -> length_clean table
-  | Guarded_len _ | Slab_guard _ | Member_guard _ -> true
+  | Guarded_len _ -> true
 
 let audit_site errors s =
   let obl = obligations s in
@@ -724,7 +468,7 @@ let table_len (m : Mesh.t) (csr : Mesh.csr) name =
       | "boundary_edge" -> Some (Array.length m.Mesh.boundary_edge)
       | _ -> None)
 
-let interpret_site ~bw ~mhi (m : Mesh.t) (csr : Mesh.csr) s =
+let interpret_site (m : Mesh.t) (csr : Mesh.csr) s =
   let hits = ref 0 and oob = ref 0 in
   let problem = ref None in
   let flag msg = if !problem = None then problem := Some msg in
@@ -799,50 +543,17 @@ let interpret_site ~bw ~mhi (m : Mesh.t) (csr : Mesh.csr) s =
                 for kk = 0 to width - 1 do
                   touch b ((width * v) + kk)
                 done)
-              tbl)
-  | Member ->
-      for mm = 0 to mhi - 1 do
-        touch mhi mm
-      done
-  | Slab inner -> (
-      let enumerate ns values =
-        (* the slab guard: ceil(mhi/bw) whole panels of ns*bw entries *)
-        let bound = (mhi + bw - 1) / bw * ns * bw in
-        for mm = 0 to mhi - 1 do
-          let pb = (mm / bw * ns * bw) + (mm mod bw) in
-          values (fun v ->
-              if v < 0 || v >= ns then begin
-                incr hits;
-                incr oob
-              end
-              else touch bound (pb + (v * bw)))
-        done
-      in
-      match inner with
-      | Iter ->
-          enumerate n_loop (fun f ->
-              for i = 0 to n_loop - 1 do
-                f i
-              done)
-      | Loaded { table; space } -> (
-          match int_table csr table with
-          | None -> flag ("table " ^ table ^ " does not resolve on this mesh")
-          | Some tbl ->
-              enumerate (space_size m space) (fun f -> Array.iter f tbl))
-      | _ -> flag "unsupported slab inner index"));
+              tbl));
   { cv_site = s; cv_hits = !hits; cv_oob = !oob; cv_problem = !problem }
 
-(* [bw]/[mhi] are the nominal panel width and member count used for the
-   member-strided shapes (their guards are caller assumptions, so any
-   representative values exercise the arithmetic). *)
-let coverage ?(bw = 2) ?(mhi = 4) ?csr ?(sites = catalog) (m : Mesh.t) =
+let coverage ?csr ?(sites = catalog) (m : Mesh.t) =
   let csr = match csr with Some c -> c | None -> Mesh.csr m in
-  List.map (interpret_site ~bw ~mhi m csr) sites
+  List.map (interpret_site m csr) sites
 
 (* --- source scan -------------------------------------------------------- *)
 
 (* The self-audit's second half: scan the kernel sources for
-   [Array.unsafe_get/set]/[A1.unsafe_get/set] occurrences, attribute
+   [Array.unsafe_get/set] occurrences, attribute
    each to its enclosing top-level function, resolve local aliases
    ([let offsets = csr.cell_offsets], [let bh = base.Fields.h]) to
    catalog names, and diff the (kernel, array, access) key sets in both
@@ -879,7 +590,7 @@ let alias_re =
    ^ "\\([a-z_][A-Za-z0-9_']*\\)")
 
 let unsafe_re =
-  Str.regexp "\\(Array\\|A1\\)\\.unsafe_\\(get\\|set\\) +\\([a-z_][A-Za-z0-9_']*\\)"
+  Str.regexp "Array\\.unsafe_\\(get\\|set\\) +\\([a-z_][A-Za-z0-9_']*\\)"
 
 (* [bh = base.Fields.h] -> "base_h"; [th = tend.Fields.tend_h] ->
    "tend_h"; [offsets = csr.cell_offsets] -> "cell_offsets". *)
@@ -922,9 +633,9 @@ let scan_file ~prefix path =
            ignore (Str.search_forward unsafe_re line !pos);
            pos := Str.match_end ();
            let access =
-             match Str.matched_group 2 line with "get" -> `Get | _ -> `Set
+             match Str.matched_group 1 line with "get" -> `Get | _ -> `Set
            in
-           let name = Str.matched_group 3 line in
+           let name = Str.matched_group 2 line in
            let arr =
              match Hashtbl.find_opt aliases name with
              | Some c -> c
@@ -950,7 +661,6 @@ let scan_file ~prefix path =
 let default_sources ~root =
   [
     ("", Filename.concat root "lib/swe/operators.ml");
-    ("strided.", Filename.concat root "lib/swe/strided.ml");
     ("", Filename.concat root "lib/patterns/refactor.ml");
   ]
 

@@ -15,18 +15,8 @@
     Each kernel's body runs under two loop headers, the full range and
     the [?on] index set; an index-set entry is confined to the loop
     space by the kernel's entry scan ([check_on]), so the loop variable
-    of either header satisfies the same shapes.
-
-    The member-batched ensemble kernels of [Mpas_swe.Strided] are
-    catalogued the same way (kernel names prefixed ["strided."]):
-    their panelled slab accesses
-    [(m / bw) * size * bw + inner * bw + (m mod bw)] lean on the
-    [check_slab] entry guard for the panel base ([Slab_guard]
-    assumption) while
-    the inner index discharges the usual CSR obligations, and the
-    per-member mask/parameter/flag reads are covered by the
-    [check_range]/[check_params]/[check_flags] guards
-    ([Member_guard]). *)
+    of either header satisfies the same shapes.  The batched ensemble
+    runs these same kernels once per member, so it adds no sites. *)
 
 open Mpas_mesh
 
@@ -44,9 +34,6 @@ type index =
   | Stride of int
   | Loaded of { table : string; space : space }
   | Loaded_stride of { table : string; space : space; width : int }
-  | Member  (** the member loop variable of a strided kernel *)
-  | Slab of index
-      (** panel base + inner index into a panelled (AoSoA) slab *)
 
 val index_name : index -> string
 
@@ -70,14 +57,12 @@ type invariant =
   | Strided_ok of { table : string; space : space; width : int }
   | Sized_ok of { table : string; space : space }
   | Guarded_len of { field : string; space : space }
-  | Slab_guard of { slab : string; space : space }
-  | Member_guard of { array : string }
 
 val invariant_name : invariant -> string
 val is_assumption : invariant -> bool
 
 (** The full unsafe-site catalog (one entry may stand for a small
-    unrolled group, e.g. the three strided kite slots). *)
+    unrolled group, e.g. the three kite slots of a [Stride 3] row). *)
 val catalog : site list
 
 (** What must hold for [site]'s index to be in bounds. *)
@@ -121,16 +106,9 @@ type coverage = {
 val cv_dead : coverage -> bool
 val coverage_message : coverage -> string
 
-val coverage :
-  ?bw:int ->
-  ?mhi:int ->
-  ?csr:Mesh.csr ->
-  ?sites:site list ->
-  Mesh.t ->
-  coverage list
-(** [bw]/[mhi] (default 2/4) are nominal panel width and member count
-    for the strided shapes.  [sites] defaults to the full {!catalog};
-    tests pass doctored lists to watch the self-audit fire. *)
+val coverage : ?csr:Mesh.csr -> ?sites:site list -> Mesh.t -> coverage list
+(** [sites] defaults to the full {!catalog}; tests pass doctored lists
+    to watch the self-audit fire. *)
 
 (** {1 Self-audit: source scan}
 
@@ -154,7 +132,7 @@ val scan_file : prefix:string -> string -> scan_site list
 (** All unsafe sites of one source file, each attributed to the
     top-level [let] that encloses it (attributes such as
     [[@inline always]] included), kernel names prefixed with [prefix]
-    (["strided."] or [""]). *)
+    (the default sources use [""]). *)
 
 val default_sources : root:string -> (string * string) list
 (** The kernel sources the catalog covers, as (prefix, path) pairs

@@ -4,7 +4,6 @@ open Mpas_runtime
 open Mpas_par
 module Pattern = Mpas_patterns.Pattern
 module Metrics = Mpas_obs.Metrics
-module A1 = Bigarray.Array1
 
 type status = Running | Done | Failed of string
 
@@ -25,6 +24,22 @@ type rw = Read | Write | Update
 
 type access = { a_slot : string; a_point : Pattern.point; a_rw : rw }
 
+(* One slot's arrays and the per-member inputs its kernels read.  The
+   arrays are allocated on the slot's first [submit] and reused after
+   [evict]; [l_work] is the solo driver's RK-4 workspace without the
+   extension fields (tracer rows, del-4 work arrays, reconstruction), which
+   the batch never runs. *)
+type lane = {
+  mutable l_mesh : Mesh.t;
+      (** the engine mesh, or a copy carrying the member's own Coriolis
+          field and sharing the engine mesh's memoized CSR *)
+  mutable l_cfg : Config.t;
+  mutable l_dt : float;
+  l_state : Fields.state;
+  l_b : float array;
+  l_work : Timestep.workspace;
+}
+
 (* Everything the kernel bodies close over.  Built before the phase
    programs so the closures never see the engine record itself. *)
 type env = {
@@ -34,39 +49,8 @@ type env = {
   nv : int;
   cap : int;
   blk : int;
-  (* masks and per-member physics, indexed by slot *)
   on : bool array;  (** running members: stepped by every kernel *)
-  on4 : bool array;  (** running ∧ fourth-order: d2fdx2's mask *)
-  fourth : bool array;
-  symmetric : bool array;
-  dts : float array;
-  gravity : float array;
-  apvm : float array;
-  visc2 : float array;
-  drag : float array;
-  (* panelled (AoSoA) slabs, panel width [blk] -- see {!Strided} *)
-  sh : Strided.slab;  (** state h (cells) *)
-  su : Strided.slab;  (** state u (edges) *)
-  ph : Strided.slab;  (** provisional h *)
-  pu : Strided.slab;
-  ah : Strided.slab;  (** RK accumulator h *)
-  au : Strided.slab;
-  th : Strided.slab;  (** tend_h *)
-  tu : Strided.slab;
-  d2 : Strided.slab;
-  he : Strided.slab;
-  kes : Strided.slab;
-  dvg : Strided.slab;
-  vo : Strided.slab;
-  hv : Strided.slab;
-  pvv : Strided.slab;
-  pvc : Strided.slab;
-  vt : Strided.slab;
-  gn : Strided.slab;
-  gt : Strided.slab;
-  pe : Strided.slab;
-  bb : Strided.slab;  (** per-member bottom topography (cells) *)
-  fv : Strided.slab;  (** per-member Coriolis (vertices) *)
+  lanes : lane option array;  (** indexed by slot *)
   rk : int ref;  (** current substep, read by the bodies at call time *)
 }
 
@@ -113,28 +97,35 @@ type t = {
 
 (* --- kernel chains ------------------------------------------------------ *)
 
-let block_range v ~block =
+(* A task body: [f] on every running member of the block, in slot
+   order.  Each call is the solo kernel on the member's own arrays. *)
+let each v f ~block () =
   let mlo = block * v.blk in
-  let mhi = min v.cap ((block + 1) * v.blk) in
-  (mlo, mhi)
+  for s = mlo to min v.cap (mlo + v.blk) - 1 do
+    if v.on.(s) then Option.iter f v.lanes.(s)
+  done
+
+(* [Timestep.rk4_step]'s coefficient tables, entry by entry. *)
+let substep_coef dt rk = if rk < 2 then dt /. 2. else dt
+let accum_coef dt rk = if rk = 0 || rk = 3 then dt /. 6. else dt /. 3.
 
 (* The RK-4 substep chains, mirroring [Timestep.rk4_step] exactly.
    Early (substeps 0-2): tendencies of the provisional state, boundary,
    next provisional state, diagnostics of it, accumulate.  Final
    (substep 3): tendencies, boundary, accumulate, publish the
    accumulator into the state, diagnostics of the new state.  The
-   diagnostic sub-chain differs between the phases only in which h/u
-   slabs it reads. *)
+   diagnostic sub-chain differs between the phases only in which state
+   it reads. *)
 let tend_defs v =
-  let m = v.mesh and on = v.on in
   [
     {
       kd_id = "ens.tend_h";
       kd_kernel = Pattern.Compute_tend;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.tend_h m ~bw:v.blk ~on ~mlo ~mhi ~h_edge:v.he ~u:v.pu ~out:v.th);
+        each v (fun l ->
+            let w = l.l_work in
+            Operators.tend_h l.l_mesh ~h_edge:w.diag.h_edge ~u:w.provis.u
+              ~out:w.tend.tend_h);
       kd_acc =
         [
           ("h_edge", Pattern.Velocity, Read);
@@ -146,11 +137,12 @@ let tend_defs v =
       kd_id = "ens.tend_u";
       kd_kernel = Pattern.Compute_tend;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.tend_u m ~bw:v.blk ~on ~mlo ~mhi ~symmetric:v.symmetric
-            ~gravity:v.gravity ~h:v.ph ~b:v.bb ~ke:v.kes ~h_edge:v.he ~u:v.pu
-            ~pv_edge:v.pe ~out:v.tu);
+        each v (fun l ->
+            let w = l.l_work in
+            Operators.tend_u ~pv_average:l.l_cfg.pv_average l.l_mesh
+              ~gravity:l.l_cfg.gravity ~h:w.provis.h ~b:l.l_b ~ke:w.diag.ke
+              ~h_edge:w.diag.h_edge ~u:w.provis.u ~pv_edge:w.diag.pv_edge
+              ~out:w.tend.tend_u);
       kd_acc =
         [
           ("provis_h", Pattern.Mass, Read);
@@ -166,10 +158,11 @@ let tend_defs v =
       kd_id = "ens.dissipation";
       kd_kernel = Pattern.Compute_tend;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.dissipation m ~bw:v.blk ~on ~mlo ~mhi ~visc2:v.visc2 ~divergence:v.dvg
-            ~vorticity:v.vo ~tend_u:v.tu);
+        each v (fun l ->
+            let w = l.l_work in
+            Operators.dissipation l.l_mesh ~visc2:l.l_cfg.visc2
+              ~divergence:w.diag.divergence ~vorticity:w.diag.vorticity
+              ~tend_u:w.tend.tend_u);
       kd_acc =
         [
           ("divergence", Pattern.Mass, Read);
@@ -181,10 +174,10 @@ let tend_defs v =
       kd_id = "ens.local_forcing";
       kd_kernel = Pattern.Compute_tend;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.local_forcing m ~bw:v.blk ~on ~mlo ~mhi ~drag:v.drag ~u:v.pu
-            ~tend_u:v.tu);
+        each v (fun l ->
+            let w = l.l_work in
+            Operators.local_forcing l.l_mesh ~drag:l.l_cfg.bottom_drag
+              ~u:w.provis.u ~tend_u:w.tend.tend_u);
       kd_acc =
         [ ("provis_u", Pattern.Velocity, Read); ("tend_u", Pattern.Velocity, Update) ];
     };
@@ -192,35 +185,38 @@ let tend_defs v =
       kd_id = "ens.boundary";
       kd_kernel = Pattern.Enforce_boundary_edge;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.enforce_boundary_edge m ~bw:v.blk ~on ~mlo ~mhi ~tend_u:v.tu);
+        each v (fun l ->
+            Operators.enforce_boundary_edge l.l_mesh
+              ~tend_u:l.l_work.tend.tend_u);
       kd_acc = [ ("tend_u", Pattern.Velocity, Update) ];
     };
   ]
 
-(* Diagnostics of (h, u): provis slabs in the early phase, state slabs
-   in the final one. *)
-let diag_defs v ~h ~u ~h_name ~u_name =
-  let m = v.mesh and on = v.on in
+(* Diagnostics of [src l]: the provisional state in the early phase,
+   the state in the final one. *)
+let diag_defs v ~src ~h_name ~u_name =
+  let d l = l.l_work.Timestep.diag in
   [
     {
       kd_id = "ens.d2fdx2";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.d2fdx2 m ~bw:v.blk ~on:v.on4 ~mlo ~mhi ~h ~out:v.d2);
+        each v (fun l ->
+            match l.l_cfg.h_adv_order with
+            | Config.Second -> ()
+            | Config.Fourth ->
+                Operators.d2fdx2 l.l_mesh ~h:(src l).Fields.h
+                  ~out:(d l).d2fdx2_cell);
       kd_acc = [ (h_name, Pattern.Mass, Read); ("d2fdx2", Pattern.Mass, Write) ];
     };
     {
       kd_id = "ens.h_edge";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.h_edge m ~bw:v.blk ~on ~mlo ~mhi ~fourth:v.fourth ~h ~d2fdx2_cell:v.d2
-            ~out:v.he);
+        each v (fun l ->
+            Operators.h_edge l.l_mesh ~order:l.l_cfg.h_adv_order
+              ~h:(src l).Fields.h ~d2fdx2_cell:(d l).d2fdx2_cell
+              ~out:(d l).h_edge);
       kd_acc =
         [
           (h_name, Pattern.Mass, Read);
@@ -232,18 +228,18 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.kinetic_energy";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.kinetic_energy m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.kes);
+        each v (fun l ->
+            Operators.kinetic_energy l.l_mesh ~u:(src l).Fields.u
+              ~out:(d l).ke);
       kd_acc = [ (u_name, Pattern.Velocity, Read); ("ke", Pattern.Mass, Write) ];
     };
     {
       kd_id = "ens.divergence";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.divergence m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.dvg);
+        each v (fun l ->
+            Operators.divergence l.l_mesh ~u:(src l).Fields.u
+              ~out:(d l).divergence);
       kd_acc =
         [ (u_name, Pattern.Velocity, Read); ("divergence", Pattern.Mass, Write) ];
     };
@@ -251,9 +247,9 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.vorticity";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.vorticity m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.vo);
+        each v (fun l ->
+            Operators.vorticity l.l_mesh ~u:(src l).Fields.u
+              ~out:(d l).vorticity);
       kd_acc =
         [ (u_name, Pattern.Velocity, Read); ("vorticity", Pattern.Vorticity, Write) ];
     };
@@ -261,9 +257,9 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.h_vertex";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.h_vertex m ~bw:v.blk ~on ~mlo ~mhi ~h ~out:v.hv);
+        each v (fun l ->
+            Operators.h_vertex l.l_mesh ~h:(src l).Fields.h
+              ~out:(d l).h_vertex);
       kd_acc =
         [ (h_name, Pattern.Mass, Read); ("h_vertex", Pattern.Vorticity, Write) ];
     };
@@ -271,10 +267,9 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.pv_vertex";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.pv_vertex m ~bw:v.blk ~on ~mlo ~mhi ~f_vertex:v.fv ~vorticity:v.vo
-            ~h_vertex:v.hv ~out:v.pvv);
+        each v (fun l ->
+            Operators.pv_vertex l.l_mesh ~vorticity:(d l).vorticity
+              ~h_vertex:(d l).h_vertex ~out:(d l).pv_vertex);
       kd_acc =
         [
           ("f_vertex", Pattern.Vorticity, Read);
@@ -287,9 +282,9 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.pv_cell";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.pv_cell m ~bw:v.blk ~on ~mlo ~mhi ~pv_vertex:v.pvv ~out:v.pvc);
+        each v (fun l ->
+            Operators.pv_cell l.l_mesh ~pv_vertex:(d l).pv_vertex
+              ~out:(d l).pv_cell);
       kd_acc =
         [ ("pv_vertex", Pattern.Vorticity, Read); ("pv_cell", Pattern.Mass, Write) ];
     };
@@ -297,9 +292,9 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.tangential_velocity";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.tangential_velocity m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.vt);
+        each v (fun l ->
+            Operators.tangential_velocity l.l_mesh ~u:(src l).Fields.u
+              ~out:(d l).v_tangential);
       kd_acc =
         [ (u_name, Pattern.Velocity, Read); ("v_tangential", Pattern.Velocity, Write) ];
     };
@@ -307,10 +302,10 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.grad_pv";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.grad_pv m ~bw:v.blk ~on ~mlo ~mhi ~pv_cell:v.pvc ~pv_vertex:v.pvv
-            ~out_n:v.gn ~out_t:v.gt);
+        each v (fun l ->
+            Operators.grad_pv l.l_mesh ~pv_cell:(d l).pv_cell
+              ~pv_vertex:(d l).pv_vertex ~out_n:(d l).grad_pv_n
+              ~out_t:(d l).grad_pv_t);
       kd_acc =
         [
           ("pv_cell", Pattern.Mass, Read);
@@ -323,11 +318,12 @@ let diag_defs v ~h ~u ~h_name ~u_name =
       kd_id = "ens.pv_edge";
       kd_kernel = Pattern.Compute_solve_diagnostics;
       kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.pv_edge m ~bw:v.blk ~on ~mlo ~mhi ~apvm_factor:v.apvm ~dt:v.dts
-            ~pv_vertex:v.pvv ~grad_pv_n:v.gn ~grad_pv_t:v.gt ~u
-            ~v_tangential:v.vt ~out:v.pe);
+        each v (fun l ->
+            let d = d l in
+            Operators.pv_edge l.l_mesh ~apvm_factor:l.l_cfg.apvm_factor
+              ~dt:l.l_dt ~pv_vertex:d.pv_vertex ~grad_pv_n:d.grad_pv_n
+              ~grad_pv_t:d.grad_pv_t ~u:(src l).Fields.u
+              ~v_tangential:d.v_tangential ~out:d.pv_edge);
       kd_acc =
         [
           ("pv_vertex", Pattern.Vorticity, Read);
@@ -341,15 +337,14 @@ let diag_defs v ~h ~u ~h_name ~u_name =
   ]
 
 let accumulate_def v =
-  let m = v.mesh and on = v.on in
   {
     kd_id = "ens.accumulate";
     kd_kernel = Pattern.Accumulative_update;
     kd_body =
-      (fun ~block () ->
-        let mlo, mhi = block_range v ~block in
-        Strided.accumulate m ~bw:v.blk ~on ~mlo ~mhi ~rk:!(v.rk) ~dt:v.dts ~tend_h:v.th
-          ~tend_u:v.tu ~accum_h:v.ah ~accum_u:v.au);
+      each v (fun l ->
+          let w = l.l_work in
+          Operators.accumulate l.l_mesh ~coef:(accum_coef l.l_dt !(v.rk))
+            ~tend:w.tend ~accum:w.accum);
     kd_acc =
       [
         ("tend_h", Pattern.Mass, Read);
@@ -366,11 +361,11 @@ let early_kdefs v =
         kd_id = "ens.next_substep";
         kd_kernel = Pattern.Compute_next_substep_state;
         kd_body =
-          (fun ~block () ->
-            let mlo, mhi = block_range v ~block in
-            Strided.next_substep_state v.mesh ~bw:v.blk ~on:v.on ~mlo ~mhi ~rk:!(v.rk)
-              ~dt:v.dts ~base_h:v.sh ~base_u:v.su ~tend_h:v.th ~tend_u:v.tu
-              ~provis_h:v.ph ~provis_u:v.pu);
+          each v (fun l ->
+              let w = l.l_work in
+              Operators.next_substep_state l.l_mesh
+                ~coef:(substep_coef l.l_dt !(v.rk)) ~base:l.l_state
+                ~tend:w.tend ~provis:w.provis);
         kd_acc =
           [
             ("state_h", Pattern.Mass, Read);
@@ -382,7 +377,9 @@ let early_kdefs v =
           ];
       };
     ]
-  @ diag_defs v ~h:v.ph ~u:v.pu ~h_name:"provis_h" ~u_name:"provis_u"
+  @ diag_defs v
+      ~src:(fun l -> l.l_work.provis)
+      ~h_name:"provis_h" ~u_name:"provis_u"
   @ [ accumulate_def v ]
 
 let final_kdefs v =
@@ -393,12 +390,7 @@ let final_kdefs v =
         kd_id = "ens.publish";
         kd_kernel = Pattern.Accumulative_update;
         kd_body =
-          (fun ~block () ->
-            let mlo, mhi = block_range v ~block in
-            Strided.blit_state ~bw:v.blk ~on:v.on ~mlo ~mhi ~size:v.nc ~src:v.ah
-              ~dst:v.sh;
-            Strided.blit_state ~bw:v.blk ~on:v.on ~mlo ~mhi ~size:v.ne ~src:v.au
-              ~dst:v.su);
+          each v (fun l -> Fields.blit_state ~src:l.l_work.accum ~dst:l.l_state);
         kd_acc =
           [
             ("accum_h", Pattern.Mass, Read);
@@ -408,7 +400,7 @@ let final_kdefs v =
           ];
       };
     ]
-  @ diag_defs v ~h:v.sh ~u:v.su ~h_name:"state_h" ~u_name:"state_u"
+  @ diag_defs v ~src:(fun l -> l.l_state) ~h_name:"state_h" ~u_name:"state_u"
 
 (* --- construction ------------------------------------------------------- *)
 
@@ -419,56 +411,21 @@ let create ?(registry = Metrics.default) ?(capacity = 64) ?(block = 8)
       (Printf.sprintf "Ensemble.create: capacity %d, need >= 1" capacity);
   if block < 1 then
     invalid_arg (Printf.sprintf "Ensemble.create: block %d, need >= 1" block);
-  (* The member block is the slab panel width; a panel wider than the
-     batch would only allocate dead lanes. *)
+  (* A block wider than the batch would only schedule empty slots. *)
   let block = min block capacity in
-  (* Validate the CSR once up front; every strided kernel leans on it. *)
+  (* Validate and memoize the CSR once up front: every kernel leans on
+     it, and member meshes copied from this record share it. *)
   ignore (Mesh.csr mesh);
-  let nc = mesh.Mesh.n_cells
-  and ne = mesh.Mesh.n_edges
-  and nv = mesh.Mesh.n_vertices in
-  let cells () = Strided.alloc ~bw:block ~members:capacity ~size:nc
-  and edges () = Strided.alloc ~bw:block ~members:capacity ~size:ne
-  and verts () = Strided.alloc ~bw:block ~members:capacity ~size:nv in
   let env =
     {
       mesh;
-      nc;
-      ne;
-      nv;
+      nc = mesh.Mesh.n_cells;
+      ne = mesh.Mesh.n_edges;
+      nv = mesh.Mesh.n_vertices;
       cap = capacity;
       blk = block;
       on = Array.make capacity false;
-      on4 = Array.make capacity false;
-      fourth = Array.make capacity false;
-      symmetric = Array.make capacity false;
-      dts = Array.make capacity 0.;
-      gravity = Array.make capacity 0.;
-      apvm = Array.make capacity 0.;
-      visc2 = Array.make capacity 0.;
-      drag = Array.make capacity 0.;
-      sh = cells ();
-      su = edges ();
-      ph = cells ();
-      pu = edges ();
-      ah = cells ();
-      au = edges ();
-      th = cells ();
-      tu = edges ();
-      d2 = cells ();
-      he = edges ();
-      kes = cells ();
-      dvg = cells ();
-      vo = verts ();
-      hv = verts ();
-      pvv = verts ();
-      pvc = cells ();
-      vt = edges ();
-      gn = edges ();
-      gt = edges ();
-      pe = edges ();
-      bb = cells ();
-      fv = verts ();
+      lanes = Array.make capacity None;
       rk = ref 0;
     }
   in
@@ -557,34 +514,55 @@ let validate_config (cfg : Config.t) =
           expected 0)"
          cfg.visc4)
 
-(* Diagnostics of one member's state slabs, in [Timestep.
-   compute_solve_diagnostics] order — run at submit/reset so the first
-   tendency evaluation sees diagnostics matching the state, exactly as
-   [Model.of_state] initializes a solo run. *)
-let init_member_diagnostics t slot =
-  let v = t.env in
-  let only = Array.make v.cap false in
-  only.(slot) <- true;
-  let only4 = Array.make v.cap false in
-  only4.(slot) <- v.fourth.(slot);
-  let mlo = slot and mhi = slot + 1 in
+(* A slot's arrays: the twelve Table-I diagnostics and nothing of the
+   extension fields, so a batched member costs what its kernels touch. *)
+let alloc_lane v =
   let m = v.mesh in
-  Strided.d2fdx2 m ~bw:v.blk ~on:only4 ~mlo ~mhi ~h:v.sh ~out:v.d2;
-  Strided.h_edge m ~bw:v.blk ~on:only ~mlo ~mhi ~fourth:v.fourth ~h:v.sh
-    ~d2fdx2_cell:v.d2 ~out:v.he;
-  Strided.kinetic_energy m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.kes;
-  Strided.divergence m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.dvg;
-  Strided.vorticity m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.vo;
-  Strided.h_vertex m ~bw:v.blk ~on:only ~mlo ~mhi ~h:v.sh ~out:v.hv;
-  Strided.pv_vertex m ~bw:v.blk ~on:only ~mlo ~mhi ~f_vertex:v.fv ~vorticity:v.vo
-    ~h_vertex:v.hv ~out:v.pvv;
-  Strided.pv_cell m ~bw:v.blk ~on:only ~mlo ~mhi ~pv_vertex:v.pvv ~out:v.pvc;
-  Strided.tangential_velocity m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.vt;
-  Strided.grad_pv m ~bw:v.blk ~on:only ~mlo ~mhi ~pv_cell:v.pvc ~pv_vertex:v.pvv
-    ~out_n:v.gn ~out_t:v.gt;
-  Strided.pv_edge m ~bw:v.blk ~on:only ~mlo ~mhi ~apvm_factor:v.apvm ~dt:v.dts
-    ~pv_vertex:v.pvv ~grad_pv_n:v.gn ~grad_pv_t:v.gt ~u:v.su
-    ~v_tangential:v.vt ~out:v.pe
+  let cells () = Array.make v.nc 0.
+  and edges () = Array.make v.ne 0.
+  and verts () = Array.make v.nv 0. in
+  let state () = { Fields.h = cells (); u = edges (); tracers = [||] } in
+  {
+    l_mesh = m;
+    l_cfg = Config.default;
+    l_dt = 0.;
+    l_state = state ();
+    l_b = cells ();
+    l_work =
+      {
+        Timestep.provis = state ();
+        accum = state ();
+        tend =
+          { Fields.tend_h = cells (); tend_u = edges (); tend_tracers = [||] };
+        diag =
+          {
+            Fields.d2fdx2_cell = cells ();
+            h_edge = edges ();
+            ke = cells ();
+            divergence = cells ();
+            vorticity = verts ();
+            h_vertex = verts ();
+            pv_vertex = verts ();
+            pv_cell = cells ();
+            v_tangential = edges ();
+            grad_pv_n = edges ();
+            grad_pv_t = edges ();
+            pv_edge = edges ();
+            tracer_edge = [||];
+            lap_u = [||];
+            div_lap = [||];
+            vort_lap = [||];
+          };
+        recon = { Fields.ux = [||]; uy = [||]; uz = [||]; zonal = [||]; meridional = [||] };
+      };
+  }
+
+(* Diagnostics of the member's state, as [Model.of_state] computes them
+   for a solo run, so the first tendency evaluation sees diagnostics
+   matching the state. *)
+let init_member_diagnostics l =
+  Timestep.init_diagnostics Timestep.refactored l.l_cfg l.l_mesh ~dt:l.l_dt
+    ~state:l.l_state ~work:l.l_work
 
 let submit t ?(tenant = "default") ?(config = Config.default) ?target
     ?f_vertex ~dt ~b (state : Fields.state) =
@@ -615,20 +593,26 @@ let submit t ?(tenant = "default") ?(config = Config.default) ?target
   in
   let id = t.next_id in
   t.next_id <- id + 1;
-  Strided.fill_member v.sh ~bw:v.blk ~size:v.nc ~member:slot state.Fields.h;
-  Strided.fill_member v.su ~bw:v.blk ~size:v.ne ~member:slot state.Fields.u;
-  Strided.fill_member v.bb ~bw:v.blk ~size:v.nc ~member:slot b;
-  Strided.fill_member v.fv ~bw:v.blk ~size:v.nv ~member:slot fvert;
-  v.dts.(slot) <- dt;
-  v.gravity.(slot) <- config.gravity;
-  v.apvm.(slot) <- config.apvm_factor;
-  v.visc2.(slot) <- config.visc2;
-  v.drag.(slot) <- config.bottom_drag;
-  v.fourth.(slot) <- (config.h_adv_order = Config.Fourth);
-  v.symmetric.(slot) <- (config.pv_average = Config.Symmetric);
-  v.on.(slot) <- true;
-  v.on4.(slot) <- v.fourth.(slot);
-  init_member_diagnostics t slot;
+  let l =
+    match v.lanes.(slot) with
+    | Some l -> l
+    | None ->
+        let l = alloc_lane v in
+        v.lanes.(slot) <- Some l;
+        l
+  in
+  Array.blit state.Fields.h 0 l.l_state.h 0 v.nc;
+  Array.blit state.Fields.u 0 l.l_state.u 0 v.ne;
+  Array.blit b 0 l.l_b 0 v.nc;
+  (* Only [pv_vertex] reads the Coriolis field: a member with its own
+     gets a mesh record that differs in [f_vertex] alone. *)
+  l.l_mesh <-
+    (if fvert == v.mesh.Mesh.f_vertex || fvert = v.mesh.Mesh.f_vertex then
+       v.mesh
+     else { v.mesh with Mesh.f_vertex = Array.copy fvert });
+  l.l_cfg <- config;
+  l.l_dt <- dt;
+  init_member_diagnostics l;
   let labels = [ ("tenant", tenant) ] in
   let s =
     {
@@ -644,10 +628,7 @@ let submit t ?(tenant = "default") ?(config = Config.default) ?target
       t_step = Metrics.timer ~registry:t.registry ~labels "ensemble.step";
     }
   in
-  if s.s_status <> Running then begin
-    v.on.(slot) <- false;
-    v.on4.(slot) <- false
-  end;
+  v.on.(slot) <- s.s_status = Running;
   t.slots.(slot) <- Some s;
   Hashtbl.replace t.by_id id slot;
   update_occupancy t;
@@ -670,54 +651,30 @@ let slot_of t id =
   | Some s -> s
   | None -> raise Not_found
 
-(* Quarantine scan: non-finite h/u or non-positive thickness.  Members
-   only write their own lanes, so a blow-up stays contained; this scan
-   just records it so [step] can drop the member from the masks.  One
-   entity-outer pass per panel — the lanes of a panel interleave, so a
-   per-member walk would touch a full cache line per element where this
-   sweep streams each line once.  Each member keeps its first finding
-   (h before u, lowest entity first, non-finite before non-positive),
-   matching what a per-member scan would report. *)
-let scan_batch v =
-  let res = Array.make v.cap None in
-  let bw = v.blk in
-  for p = 0 to ((v.cap + bw - 1) / bw) - 1 do
-    let mb = p * bw in
-    let mhi = min v.cap (mb + bw) in
-    let cp = p * v.nc * bw in
-    for c = 0 to v.nc - 1 do
-      let ib = cp + (c * bw) in
-      for mm = mb to mhi - 1 do
-        if Array.unsafe_get v.on mm then
-          match res.(mm) with
-          | Some _ -> ()
-          | None ->
-              let h = A1.get v.sh (ib + mm - mb) in
-              if
-                Float.is_nan h || h = Float.infinity
-                || h = Float.neg_infinity
-              then res.(mm) <- Some (Printf.sprintf "non-finite h at cell %d" c)
-              else if h <= 0. then
-                res.(mm) <- Some (Printf.sprintf "non-positive h at cell %d" c)
-      done
-    done;
-    let ep = p * v.ne * bw in
-    for e = 0 to v.ne - 1 do
-      let eb = ep + (e * bw) in
-      for mm = mb to mhi - 1 do
-        if Array.unsafe_get v.on mm then
-          match res.(mm) with
-          | Some _ -> ()
-          | None ->
-              let u = A1.get v.su (eb + mm - mb) in
-              if
-                Float.is_nan u || u = Float.infinity
-                || u = Float.neg_infinity
-              then res.(mm) <- Some (Printf.sprintf "non-finite u at edge %d" e)
-      done
-    done
+(* Quarantine scan of one member's own h and u: the first finding, h
+   before u, lowest entity first, non-finite before non-positive.  A
+   member only ever writes its own arrays, so a blow-up stays contained;
+   this scan records it so [step] can drop the member from the mask. *)
+let scan_member (st : Fields.state) =
+  let h = st.Fields.h and u = st.Fields.u in
+  let c = ref 0 in
+  while !c < Array.length h && Float.is_finite h.(!c) && h.(!c) > 0. do
+    incr c
   done;
-  res
+  if !c < Array.length h then
+    Some
+      (Printf.sprintf "%s h at cell %d"
+         (if Float.is_finite h.(!c) then "non-positive" else "non-finite")
+         !c)
+  else begin
+    let e = ref 0 in
+    while !e < Array.length u && Float.is_finite u.(!e) do
+      incr e
+    done;
+    if !e < Array.length u then
+      Some (Printf.sprintf "non-finite u at edge %d" !e)
+    else None
+  end
 
 let instrument _ f = f ()
 
@@ -728,10 +685,14 @@ let sweep t =
   in
   (* Seed the accumulator and the provisional state; tracer-free, so
      this is the whole of the solo driver's pre-substep work. *)
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.nc ~src:v.sh ~dst:v.ah;
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.nc ~src:v.sh ~dst:v.ph;
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.ne ~src:v.su ~dst:v.au;
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.ne ~src:v.su ~dst:v.pu;
+  for s = 0 to v.cap - 1 do
+    if v.on.(s) then
+      Option.iter
+        (fun l ->
+          Fields.blit_state ~src:l.l_state ~dst:l.l_work.accum;
+          Fields.blit_state ~src:l.l_state ~dst:l.l_work.provis)
+        v.lanes.(s)
+  done;
   for rk = 0 to 2 do
     v.rk := rk;
     fire `Early rk;
@@ -753,29 +714,26 @@ let step t ?(n = 1) () =
       Metrics.Counter.incr t.c_batch_steps;
       Metrics.Timer.record t.t_batch_step dt_wall;
       let tenants_seen = Hashtbl.create 8 in
-      let bad = scan_batch v in
       Array.iteri
         (fun slot s ->
-          match s with
-          | Some ({ s_status = Running; _ } as s) ->
+          match (s, v.lanes.(slot)) with
+          | Some ({ s_status = Running; _ } as s), Some l ->
               s.s_steps <- s.s_steps + 1;
               Metrics.Counter.incr s.c_stepped;
               if not (Hashtbl.mem tenants_seen s.s_tenant) then begin
                 Hashtbl.add tenants_seen s.s_tenant ();
                 Metrics.Timer.record s.t_step dt_wall
               end;
-              (match bad.(slot) with
+              (match scan_member l.l_state with
               | Some reason ->
                   s.s_status <- Failed reason;
                   Metrics.Counter.incr s.c_failed;
-                  v.on.(slot) <- false;
-                  v.on4.(slot) <- false
+                  v.on.(slot) <- false
               | None -> (
                   match s.s_target with
                   | Some tgt when s.s_steps >= tgt ->
                       s.s_status <- Done;
-                      v.on.(slot) <- false;
-                      v.on4.(slot) <- false
+                      v.on.(slot) <- false
                   | _ -> ()))
           | _ -> ())
         t.slots;
@@ -791,14 +749,13 @@ let query t id =
   | Some s -> info_of s
   | None -> raise Not_found
 
-let state t id =
-  let slot = slot_of t id in
-  let v = t.env in
-  {
-    Fields.h = Strided.read_member v.sh ~bw:v.blk ~size:v.nc ~member:slot;
-    u = Strided.read_member v.su ~bw:v.blk ~size:v.ne ~member:slot;
-    tracers = [||];
-  }
+let lane t id =
+  match t.env.lanes.(slot_of t id) with
+  | Some l -> l
+  | None -> raise Not_found
+
+let state t id = Fields.copy_state (lane t id).l_state
+let member_mesh t id = (lane t id).l_mesh
 
 let set_state t id (st : Fields.state) =
   let slot = slot_of t id in
@@ -806,15 +763,15 @@ let set_state t id (st : Fields.state) =
   check_counted "state.h cells" (Array.length st.Fields.h) v.nc;
   check_counted "state.u edges" (Array.length st.Fields.u) v.ne;
   check_counted "tracer rows" (Array.length st.Fields.tracers) 0;
-  Strided.fill_member v.sh ~bw:v.blk ~size:v.nc ~member:slot st.Fields.h;
-  Strided.fill_member v.su ~bw:v.blk ~size:v.ne ~member:slot st.Fields.u;
+  let l = lane t id in
+  Array.blit st.Fields.h 0 l.l_state.h 0 v.nc;
+  Array.blit st.Fields.u 0 l.l_state.u 0 v.ne;
   (match t.slots.(slot) with
   | Some s ->
       s.s_status <- Running;
-      v.on.(slot) <- true;
-      v.on4.(slot) <- v.fourth.(slot)
+      v.on.(slot) <- true
   | None -> raise Not_found);
-  init_member_diagnostics t slot;
+  init_member_diagnostics l;
   update_occupancy t
 
 let evict t id =
@@ -822,7 +779,6 @@ let evict t id =
   t.slots.(slot) <- None;
   Hashtbl.remove t.by_id id;
   t.env.on.(slot) <- false;
-  t.env.on4.(slot) <- false;
   t.free <- slot :: t.free;
   update_occupancy t
 

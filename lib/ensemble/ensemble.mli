@@ -1,14 +1,17 @@
 (** Batch-serving engine: many concurrent shallow-water simulations per
-    process, advanced by member-strided kernel sweeps.
+    process, each member running the solo CSR kernels on its own
+    arrays.
 
     One [t] owns a fixed-capacity pool of member slots over a single
-    immutable mesh (and its memoized CSR).  Every field is one
-    panelled (AoSoA) Bigarray slab ({!Mpas_swe.Strided.slab}) whose
-    panel width is the member block, so a batch step is a sweep of the
-    {!Mpas_swe.Strided} kernels: the mesh connectivity is loaded once
-    per entity and applied to every member of a panel sitting on the
-    same cache line — the batched-inference shape, where throughput
-    comes from layout.
+    immutable mesh (and its memoized CSR).  The layout is member-major:
+    every slot owns plain [float array] fields — its state, the RK-4
+    provisional and accumulator states, both tendencies, the twelve
+    Table-I diagnostics and its topography — allocated on the slot's
+    first {!submit} and reused after {!evict}.  A batch step calls, for
+    every running member, the same {!Mpas_swe.Operators} kernel that
+    {!Mpas_swe.Timestep.refactored} calls at that point, with the
+    member's own config scalars and [dt].  There is no second copy of
+    any stencil, and a batched member-step costs about one solo step.
 
     Scheduling reuses the dataflow runtime: the RK-4 substep kernel
     chain compiles through {!Mpas_runtime.Batch} into phase programs
@@ -16,20 +19,22 @@
     {!Mpas_runtime.Exec} mode (barrier, async, work stealing) spreads
     blocks over lanes.  Members are independent; blocks share no slots.
 
-    Failure isolation: members only ever touch their own panel lanes,
-    so a blow-up cannot poison neighbours.  After every step each
-    running member's prognostic fields are scanned; a non-finite value
-    or non-positive thickness flips the member to [Failed] and drops it
-    from the [on] masks — the batch keeps going without it.
+    Failure isolation: members only ever touch their own arrays, so a
+    blow-up cannot poison neighbours.  After every step each running
+    member's h and u are scanned; a non-finite value or non-positive
+    thickness flips the member to [Failed] and drops it from the
+    running mask — the batch keeps going without it.
 
     Per-member physics: each member carries its own [Config.t] subset
     (gravity, APVM, [visc2], bottom drag, advection order, PV average),
-    time step, bottom topography and Coriolis field ([f_vertex] slab),
-    which is how perturbed Williamson cases — including the rotated
-    Coriolis variants — batch together.  Unsupported configuration
-    (tracers, [visc4], non-RK4 integrators) is rejected at submit with
-    counted got/expected messages, like [Exchange.exchange] arity
-    errors.
+    time step, bottom topography and Coriolis field, which is how
+    perturbed Williamson cases — including the rotated Coriolis
+    variants — batch together.  A member with its own Coriolis field
+    runs on a copy of the engine mesh record that differs only in
+    [f_vertex] and shares the memoized CSR ({!member_mesh}).
+    Unsupported configuration (tracers, [visc4], non-RK4 integrators)
+    is rejected at submit with counted got/expected messages, like
+    [Exchange.exchange] arity errors.
 
     Every member's trajectory is bit-identical to a solo run of the
     refactored engine with the same config, [dt] and initial state. *)
@@ -55,9 +60,11 @@ type info = {
 
 (** [create mesh] builds an empty engine.
 
-    [capacity] (default 64) is the member-slot count — slab memory is
-    allocated for all of it up front.  [block] (default 8) is the
-    member-block size, the unit of parallel scheduling.  [mode]/[pool]
+    [capacity] (default 64) is the member-slot count; a slot's arrays
+    are allocated on its first {!submit}, so an engine that never
+    admits a member holds no field memory.  [block] (default 8) is the
+    member-block size, the unit of parallel scheduling, and nothing
+    else.  [mode]/[pool]
     select the runtime execution mode (default [Sequential], no pool);
     [log] receives the executor's task log for race replay.
     [registry] is where observability lands (default
@@ -69,8 +76,8 @@ type info = {
     launches and may raise (the fault-injection harness's kernel-raise
     point); [preempt] is forwarded to {!Mpas_runtime.Batch.run} and
     aborts the phase with {!Exec.Preempted} when it returns [true].
-    Either way the sweep is abandoned mid-step and the batch slabs are
-    left dirty — the caller must restore every affected member (e.g.
+    Either way the sweep is abandoned mid-step and the members' arrays
+    are left dirty — the caller must restore every affected member (e.g.
     from a checkpoint) before stepping again. *)
 val create :
   ?registry:Mpas_obs.Metrics.t ->
@@ -143,8 +150,15 @@ val state : t -> int -> Fields.state
     @raise Invalid_argument on shape mismatch, [Not_found] on a bad id. *)
 val set_state : t -> int -> Fields.state -> unit
 
-(** Free the member's slot.  @raise Not_found on a bad id. *)
+(** Free the member's slot; its arrays stay allocated for the next
+    {!submit} to reuse.  @raise Not_found on a bad id. *)
 val evict : t -> int -> unit
+
+(** The mesh record the member's kernels run on: the engine's {!mesh},
+    or, for a member with its own Coriolis field, a copy differing only
+    in [f_vertex] whose {!Mesh.csr} is physically the engine mesh's.
+    @raise Not_found on a bad id. *)
+val member_mesh : t -> int -> Mesh.t
 
 (** {2 Introspection for the static checkers} *)
 

@@ -11,10 +11,10 @@
     bounds.
 
     The member payload is the flat [h]/[u] layout of {!Fields.state}
-    (the same per-member lanes {!Strided.read_member} extracts from the
-    ensemble slabs), so a snapshot of a batch member restores bit for
-    bit: encode∘decode is the identity on every float, and a restarted
-    integration continues exactly as the uninterrupted one. *)
+    (the layout every ensemble member already holds its state in), so
+    a snapshot of a batch member restores bit for bit: encode∘decode
+    is the identity on every float, and a restarted integration
+    continues exactly as the uninterrupted one. *)
 
 exception Corrupt of string
 (** The image fails structural validation (bad magic, unknown version,

@@ -416,74 +416,6 @@ let test_comm_log_replay_steal () =
 
 (* --- ensemble member-axis programs -------------------------------------- *)
 
-let test_bounds_strided_coverage () =
-  (* Every Strided kernel is catalogued, its slab sites lean only on
-     the slab/member entry guards plus CSR facts, and the whole
-     strided family is proved on a valid mesh. *)
-  let strided =
-    List.filter
-      (fun (s : Bounds.site) ->
-        String.length s.Bounds.s_kernel > 8
-        && String.sub s.Bounds.s_kernel 0 8 = "strided.")
-      Bounds.catalog
-  in
-  let kernels =
-    List.sort_uniq compare
-      (List.map (fun (s : Bounds.site) -> s.Bounds.s_kernel) strided)
-  in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " catalogued") true
-        (List.mem ("strided." ^ k) kernels))
-    [
-      "blit_state"; "d2fdx2"; "h_edge"; "kinetic_energy"; "divergence";
-      "vorticity"; "h_vertex"; "pv_vertex"; "pv_cell"; "tangential_velocity";
-      "grad_pv"; "pv_edge"; "tend_h"; "tend_u"; "dissipation"; "local_forcing";
-      "enforce_boundary_edge"; "next_substep_state"; "accumulate";
-    ];
-  (* every slab access carries its slab-guard assumption *)
-  List.iter
-    (fun (s : Bounds.site) ->
-      match s.Bounds.s_index with
-      | Bounds.Slab _ ->
-          Alcotest.(check bool)
-            (Bounds.site_name s ^ " slab-guarded")
-            true
-            (List.exists
-               (function Bounds.Slab_guard _ -> true | _ -> false)
-               (Bounds.obligations s))
-      | _ -> ())
-    strided;
-  let reports = Bounds.audit (Lazy.force ico) in
-  let refuted_strided =
-    List.filter
-      (fun (r : Bounds.site_report) ->
-        List.memq r.Bounds.sr_site strided)
-      (Bounds.refuted reports)
-  in
-  Alcotest.(check (list string))
-    "all strided sites proved" []
-    (List.map
-       (fun (r : Bounds.site_report) -> Bounds.site_name r.Bounds.sr_site)
-       refuted_strided)
-
-let test_bounds_strided_refuted_on_corruption () =
-  (* A poisoned connectivity entry must cost the strided gather
-     kernels their proof too, not only the solo ones. *)
-  let m = Lazy.force hex in
-  let bad = copy_csr (Mesh.csr m) in
-  bad.Mesh.cell_edges.(0) <- m.Mesh.n_edges;
-  let kernels =
-    List.sort_uniq compare
-      (List.map
-         (fun (r : Bounds.site_report) -> r.Bounds.sr_site.Bounds.s_kernel)
-         (Bounds.refuted (Bounds.audit ~csr:bad m)))
-  in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " refuted") true (List.mem k kernels))
-    [ "strided.kinetic_energy"; "strided.divergence"; "strided.tend_h" ]
-
 let ensemble_engine ?mode ?pool ?log m =
   let open Mpas_ensemble in
   let e = Ensemble.create ?mode ?pool ?log ~capacity:8 ~block:2 m in
@@ -519,7 +451,7 @@ let test_ens_static_clean () =
 
 let test_ens_dropped_edge_caught () =
   (* Deleting the chain edge between a block's tend_u and dissipation
-     tasks leaves two unordered tasks updating the same slab slot —
+     tasks leaves two unordered tasks updating the same block slot —
      the checker must notice, proving the chain edges are load-bearing
      rather than vacuously consistent. *)
   let e = ensemble_engine (Lazy.force hex) in
@@ -961,10 +893,6 @@ let () =
         ] );
       ( "ensemble",
         [
-          Alcotest.test_case "strided sites catalogued and proved" `Quick
-            test_bounds_strided_coverage;
-          Alcotest.test_case "strided sites refuted on corruption" `Quick
-            test_bounds_strided_refuted_on_corruption;
           Alcotest.test_case "member axis race-free" `Quick
             test_ens_static_clean;
           Alcotest.test_case "dropped chain edge caught" `Quick

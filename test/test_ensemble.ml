@@ -136,6 +136,87 @@ let test_modes_bit_identical () =
       ("steal", Exec.Steal, 4);
     ]
 
+(* One batch covering every per-member switch (advection order, PV
+   average, visc2, bottom drag, a rotated Coriolis field), with a
+   partial last block (capacity 7, block 3) and a member quarantined
+   mid-run inside a full block: every other member stays bitwise on its
+   solo trajectory. *)
+let test_mixed_batch_bitwise () =
+  let m = Lazy.force ico in
+  let e = create ~capacity:7 ~block:3 m in
+  let d = Config.default in
+  let cases =
+    [
+      ("tc5 fourth/symmetric", Williamson.Tc5, d);
+      ("tc2 second", Williamson.Tc2, { d with h_adv_order = Config.Second });
+      ("tc6 edge-only pv", Williamson.Tc6, { d with pv_average = Config.Edge_only });
+      ("tc5 visc2", Williamson.Tc5, { d with visc2 = 1e4 });
+      ("tc5 bottom drag", Williamson.Tc5, { d with bottom_drag = 1e-5 });
+      ("victim", Williamson.Tc5, d);
+      ("tc2 rotated", Williamson.Tc2_rotated, d);
+    ]
+  in
+  let ids = List.map (fun (_, case, config) -> submit_case e ~config case) cases in
+  let victim = List.nth ids 5 in
+  step e ~n:2 ();
+  let poisoned = state e victim in
+  poisoned.Fields.h.(3) <- Float.nan;
+  set_state e victim poisoned;
+  step e ~n:2 ();
+  (match (query e victim).i_status with
+  | Failed _ -> ()
+  | s -> Alcotest.failf "victim should be failed, is %s" (status_name s));
+  Alcotest.(check int) "victim stopped at failure" 3 (query e victim).i_steps;
+  List.iter2
+    (fun id (name, case, config) ->
+      if id <> victim then begin
+        let solo = Model.init ~config ~engine:Timestep.refactored case m in
+        Model.run solo ~steps:4;
+        let got = state e id in
+        check_bits (name ^ " h") solo.Model.state.Fields.h got.Fields.h;
+        check_bits (name ^ " u") solo.Model.state.Fields.u got.Fields.u;
+        Alcotest.(check string)
+          (name ^ " running") "running"
+          (status_name (query e id).i_status)
+      end)
+    ids cases
+
+(* A slot freed by [evict] and taken by a new member carries nothing of
+   its previous occupant: not its fourth-order d2fdx2, its viscosity,
+   nor its rotated Coriolis mesh. *)
+let test_evict_resubmit_reuses_slot () =
+  let m = Lazy.force ico in
+  let e = create ~capacity:1 m in
+  let old =
+    submit_case e
+      ~config:{ Config.default with visc2 = 1e4 }
+      Williamson.Tc2_rotated
+  in
+  step e ~n:3 ();
+  evict e old;
+  let config = { Config.default with h_adv_order = Config.Second } in
+  let id = submit_case e ~config Williamson.Tc5 in
+  Alcotest.(check bool) "engine mesh again" true (member_mesh e id == mesh e);
+  step e ~n:3 ();
+  let solo = Model.init ~config ~engine:Timestep.refactored Williamson.Tc5 m in
+  Model.run solo ~steps:3;
+  let got = state e id in
+  check_bits "resubmitted h" solo.Model.state.Fields.h got.Fields.h;
+  check_bits "resubmitted u" solo.Model.state.Fields.u got.Fields.u
+
+let test_rotated_member_shares_csr () =
+  let m = Lazy.force ico in
+  let e = create ~capacity:2 m in
+  let plain = submit_case e Williamson.Tc2 in
+  let rotated = submit_case e Williamson.Tc2_rotated in
+  let mm = member_mesh e rotated in
+  Alcotest.(check bool) "plain member on the engine mesh" true
+    (member_mesh e plain == mesh e);
+  Alcotest.(check bool) "rotated member on its own record" false (mm == mesh e);
+  Alcotest.(check bool) "own Coriolis" false
+    (mm.Mesh.f_vertex = m.Mesh.f_vertex);
+  Alcotest.(check bool) "shared CSR" true (Mesh.csr mm == Mesh.csr (mesh e))
+
 (* --- failure isolation -------------------------------------------------- *)
 
 let test_quarantine () =
@@ -172,6 +253,57 @@ let test_quarantine () =
   check_bits "bystander u" want.Fields.u got.Fields.u;
   (* The victim stops consuming steps after quarantine. *)
   Alcotest.(check int) "victim stopped at failure" 1 (query e victim).i_steps
+
+(* The quarantine reason is the first finding on the member's own
+   trajectory: h before u, lowest entity first, non-finite before
+   non-positive — computed here from a solo run of the poisoned state.
+   The mesh is large enough that one step leaves the damage local, so
+   each case has findings at several distinct places. *)
+let test_quarantine_first_finding () =
+  let m = Planar_hex.create ~f:1e-4 ~nx:40 ~ny:30 ~dc:1000. () in
+  let nc = m.Mesh.n_cells and ne = m.Mesh.n_edges in
+  let b = Array.make nc 0. in
+  let st = hex_state m in
+  let reference (st : Fields.state) =
+    let found = ref None in
+    let note r = if !found = None then found := Some r in
+    Array.iteri
+      (fun c h ->
+        if not (Float.is_finite h) then
+          note (Printf.sprintf "non-finite h at cell %d" c)
+        else if h <= 0. then note (Printf.sprintf "non-positive h at cell %d" c))
+      st.Fields.h;
+    Array.iteri
+      (fun e u ->
+        if not (Float.is_finite u) then
+          note (Printf.sprintf "non-finite u at edge %d" e))
+      st.Fields.u;
+    !found
+  in
+  List.iter
+    (fun (name, poison) ->
+      let p = Fields.copy_state st in
+      poison p;
+      let want = reference (solo_steps ~dt:hex_dt ~b m p 1) in
+      Alcotest.(check bool) (name ^ " has a finding") true (want <> None);
+      let e = create ~capacity:2 m in
+      ignore (submit e ~dt:hex_dt ~b st);
+      let id = submit e ~dt:hex_dt ~b p in
+      step e ();
+      let got =
+        match (query e id).i_status with Failed r -> Some r | _ -> None
+      in
+      Alcotest.(check (option string)) name want got)
+    [
+      ("NaN velocity", fun p -> p.Fields.u.(ne / 2) <- Float.nan);
+      ( "two negative thicknesses",
+        fun p ->
+          p.Fields.h.(nc - 40) <- -5000.;
+          p.Fields.h.(nc / 3) <- -5000. );
+      ("infinite thickness", fun p -> p.Fields.h.(nc / 2) <- Float.infinity);
+      ( "negative infinite thickness",
+        fun p -> p.Fields.h.(nc / 2) <- Float.neg_infinity );
+    ]
 
 let test_member_isolation_qcheck () =
   let m = Lazy.force hex in
@@ -388,10 +520,14 @@ let () =
             test_bit_identity_hex;
           Alcotest.test_case "all executor modes" `Quick
             test_modes_bit_identical;
+          Alcotest.test_case "mixed switches, partial block, quarantine"
+            `Quick test_mixed_batch_bitwise;
         ] );
       ( "isolation",
         [
           Alcotest.test_case "NaN quarantine" `Quick test_quarantine;
+          Alcotest.test_case "quarantine reports the first finding" `Quick
+            test_quarantine_first_finding;
           Alcotest.test_case "QCheck member isolation" `Quick
             test_member_isolation_qcheck;
         ] );
@@ -399,6 +535,10 @@ let () =
         [
           Alcotest.test_case "target -> done" `Quick test_target_done;
           Alcotest.test_case "evict and reuse" `Quick test_evict_and_reuse;
+          Alcotest.test_case "evict then resubmit reuses the slot" `Quick
+            test_evict_resubmit_reuses_slot;
+          Alcotest.test_case "rotated member shares the CSR" `Quick
+            test_rotated_member_shares_csr;
           Alcotest.test_case "submit validation messages" `Quick
             test_submit_validation;
         ] );
