@@ -5,9 +5,11 @@
       (Tables I-III, Figures 5-9) through Mpas_core.Experiments — the
       rows printed here are the reproduction artifacts recorded in
       EXPERIMENTS.md;
-   2. Bechamel micro-benchmarks of the real kernels (one group per
-      experiment and the refactoring forms of Algorithms 2-4), run on
-      this machine.
+   2. micro-benchmarks of the real kernels and steps (the refactoring
+      forms of Algorithms 2-4, the pattern instances, whole RK-4 steps
+      per engine, the runtime, ensemble and serving layers), run on
+      this machine: Bechamel fits for the short kernels, the direct
+      interleaved timer below for the step-level groups.
 
    Modes:
    - no arguments: part 1 followed by part 2 and the
@@ -288,33 +290,7 @@ let bench_cases () =
           ignore (Mpas_server.Server.drain srv ()) );
     ]
   in
-  let experiments =
-    (* One case per paper table/figure generator (the cheap, model-based
-       ones; Figure 5 runs the real solver and is regenerated in part 1
-       instead of being timed here). *)
-    [
-      ("experiment generators", "table1",
-       fun () -> ignore (Mpas_core.Experiments.table1 ()));
-      ("experiment generators", "table2",
-       fun () -> ignore (Mpas_core.Experiments.table2 ()));
-      ("experiment generators", "table3",
-       fun () -> ignore (Mpas_core.Experiments.table3 ()));
-      ("experiment generators", "fig6",
-       fun () -> ignore (Mpas_core.Experiments.fig6 ()));
-      ("experiment generators", "fig7",
-       fun () -> ignore (Mpas_core.Experiments.fig7 ()));
-      ("experiment generators", "fig8",
-       fun () -> ignore (Mpas_core.Experiments.fig8 ()));
-      ("experiment generators", "fig9",
-       fun () -> ignore (Mpas_core.Experiments.fig9 ()));
-      ("experiment generators", "ablation-devices",
-       fun () -> ignore (Mpas_core.Experiments.ablation_device_ratio ()));
-      ("experiment generators", "ablation-residency",
-       fun () -> ignore (Mpas_core.Experiments.ablation_residency ()));
-    ]
-  in
   refactoring @ operators @ steps @ runtime @ ensemble @ serving
-  @ experiments
 
 let group_names cases =
   List.fold_left
@@ -344,6 +320,7 @@ let tests_of_cases cases =
    penalizing whichever variant happened to run during a spike. *)
 let direct_groups =
   [
+    "full RK-4 step";
     "task runtime (dataflow DAG)";
     "ensemble (member batching)";
     "serving layer";

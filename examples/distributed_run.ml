@@ -24,7 +24,7 @@ let () =
       Printf.printf
         "rank %d: %5d cells owned, %4d ghost cells, %4d ghost edges\n"
         s.Exchange.rank
-        (Array.length s.Exchange.own_cells)
+        (Mpas_par.Span.cardinal s.Exchange.own_cells)
         (Array.length s.Exchange.ghost_cells)
         (Array.length s.Exchange.ghost_edges))
     dist.Driver.exchange.Exchange.sets;

@@ -12,10 +12,12 @@
     at kernel entry; those appear as explicit [Guarded_len]
     assumptions on the verdict rather than CSR invariants.
 
-    Each kernel's body runs under two loop headers, the full range and
-    the [?on] index set; an index-set entry is confined to the loop
-    space by the kernel's entry scan ([check_on]), so the loop variable
-    of either header satisfies the same shapes.  The batched ensemble
+    Each kernel's body runs under one loop header, fed either the full
+    range or the runs of an [?on] span set; a span set is confined to
+    the loop space at entry ([check_on]: its last bound is at most the
+    space size, and a span set is sorted and non-negative by
+    construction), so the loop variable satisfies the same shapes on
+    either walk.  The batched ensemble
     runs these same kernels once per member, so it adds no sites. *)
 
 open Mpas_mesh

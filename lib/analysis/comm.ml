@@ -15,12 +15,12 @@ let footprint_of (accs : Overlap.access list) =
   List.iter
     (fun (a : Overlap.access) ->
       List.iter
-        (Array.iter (fun i ->
+        (Mpas_par.Span.iter (fun i ->
              Footprint.read f ~name:a.Overlap.a_slot ~point:a.Overlap.a_point
                ~size:a.Overlap.a_size i))
         a.Overlap.a_reads;
       List.iter
-        (Array.iter (fun i ->
+        (Mpas_par.Span.iter (fun i ->
              Footprint.write f ~name:a.Overlap.a_slot ~point:a.Overlap.a_point
                ~size:a.Overlap.a_size i))
         a.Overlap.a_writes)

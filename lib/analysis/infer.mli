@@ -33,8 +33,8 @@ val create : ?config:Config.t -> Mesh.t -> t
 val mesh : t -> Mesh.t
 
 (** Inferred footprint of one task, as the runtime would execute it
-    ([part = None] walks the full range, [Some _] the part's index
-    set or tile). *)
+    ([part = None] walks the full range, [Some _] the part's one-span
+    set). *)
 val task_footprint : t -> final:bool -> Spec.task -> Footprint.t
 
 val instance_footprint :
@@ -46,8 +46,9 @@ val instance_footprint :
 val spec_footprints : t -> Spec.t -> Footprint.t array * Footprint.t array
 
 (** How to drive the instance: [Csr] (full-range walks), [Index_set]
-    (the [?on] index-set walks over the full index set), or [Parts f]
-    (two part tasks splitting at [f], footprints unioned). *)
+    (the [?on] span-set walk over the whole space as a one-span set),
+    or [Parts f] (two part tasks splitting at [f], footprints
+    unioned). *)
 type mode = Csr | Index_set | Parts of float
 
 val mode_name : mode -> string

@@ -1,4 +1,5 @@
 open Mpas_mesh
+open Mpas_par
 open Mpas_swe
 
 type t = {
@@ -14,6 +15,7 @@ type t = {
   accums : Fields.state array;
   diags : Fields.diagnostics array;
   recons : Fields.reconstruction array;
+  ranks : Timestep.rank array;
   mutable steps_taken : int;
 }
 
@@ -22,187 +24,26 @@ let each t f =
     f r t.exchange.Exchange.sets.(r)
   done
 
-(* Exchange one field living at [loc], selected from each rank by
-   [select]. *)
-let xch t loc select =
-  Exchange.exchange t.exchange loc
-    (Array.init t.exchange.Exchange.n_ranks select)
-
-(* The diagnostics sequence on a state selected by [h_of]/[u_of], with
-   a halo exchange after each kernel whose output is read non-locally
-   (paper Figures 2/4: "Exchange halo"). *)
-let solve_diagnostics t ~h_of ~u_of ~tracer_of =
-  let m = t.mesh and cfg = t.config in
-  (match cfg.Config.h_adv_order with
-  | Config.Second -> ()
-  | Config.Fourth ->
-      each t (fun r s ->
-          Operators.d2fdx2 ~on:s.Exchange.own_cells m ~h:(h_of r)
-            ~out:t.diags.(r).Fields.d2fdx2_cell);
-      xch t Exchange.Cells (fun r -> t.diags.(r).Fields.d2fdx2_cell));
-  each t (fun r s ->
-      Operators.h_edge ~on:s.Exchange.own_edges m ~order:cfg.Config.h_adv_order
-        ~h:(h_of r) ~d2fdx2_cell:t.diags.(r).Fields.d2fdx2_cell
-        ~out:t.diags.(r).Fields.h_edge);
-  xch t Exchange.Edges (fun r -> t.diags.(r).Fields.h_edge);
-  each t (fun r s ->
-      let diag = t.diags.(r) in
-      Operators.kinetic_energy ~on:s.Exchange.own_cells m ~u:(u_of r)
-        ~out:diag.Fields.ke;
-      Operators.divergence ~on:s.Exchange.own_cells m ~u:(u_of r)
-        ~out:diag.Fields.divergence;
-      Operators.vorticity ~on:s.Exchange.own_vertices m ~u:(u_of r)
-        ~out:diag.Fields.vorticity;
-      Operators.h_vertex ~on:s.Exchange.own_vertices m ~h:(h_of r)
-        ~out:diag.Fields.h_vertex;
-      Operators.pv_vertex ~on:s.Exchange.own_vertices m
-        ~vorticity:diag.Fields.vorticity ~h_vertex:diag.Fields.h_vertex
-        ~out:diag.Fields.pv_vertex);
-  xch t Exchange.Cells (fun r -> t.diags.(r).Fields.ke);
-  xch t Exchange.Cells (fun r -> t.diags.(r).Fields.divergence);
-  xch t Exchange.Vertices (fun r -> t.diags.(r).Fields.vorticity);
-  xch t Exchange.Vertices (fun r -> t.diags.(r).Fields.pv_vertex);
-  each t (fun r s ->
-      Operators.pv_cell ~on:s.Exchange.own_cells m
-        ~pv_vertex:t.diags.(r).Fields.pv_vertex ~out:t.diags.(r).Fields.pv_cell);
-  xch t Exchange.Cells (fun r -> t.diags.(r).Fields.pv_cell);
-  each t (fun r s ->
-      let diag = t.diags.(r) in
-      Operators.tangential_velocity ~on:s.Exchange.own_edges m ~u:(u_of r)
-        ~out:diag.Fields.v_tangential;
-      Operators.grad_pv ~on:s.Exchange.own_edges m ~pv_cell:diag.Fields.pv_cell
-        ~pv_vertex:diag.Fields.pv_vertex ~out_n:diag.Fields.grad_pv_n
-        ~out_t:diag.Fields.grad_pv_t;
-      Operators.pv_edge ~on:s.Exchange.own_edges m
-        ~apvm_factor:cfg.Config.apvm_factor ~dt:t.dt
-        ~pv_vertex:diag.Fields.pv_vertex ~grad_pv_n:diag.Fields.grad_pv_n
-        ~grad_pv_t:diag.Fields.grad_pv_t ~u:(u_of r)
-        ~v_tangential:diag.Fields.v_tangential ~out:diag.Fields.pv_edge);
-  xch t Exchange.Edges (fun r -> t.diags.(r).Fields.pv_edge);
-  let n_tracers = Array.length t.diags.(0).Fields.tracer_edge in
-  for k = 0 to n_tracers - 1 do
-    each t (fun r s ->
-        Operators.tracer_edge ~on:s.Exchange.own_edges m
-          ~scheme:cfg.Config.tracer_adv
-          ~tracer:(tracer_of r k) ~u:(u_of r)
-          ~out:t.diags.(r).Fields.tracer_edge.(k));
-    xch t Exchange.Edges (fun r -> t.diags.(r).Fields.tracer_edge.(k))
-  done
-
-let compute_tend t ~h_of ~u_of =
-  let m = t.mesh and cfg = t.config in
-  each t (fun r s ->
-      let diag = t.diags.(r) and tend = t.tends.(r) in
-      Operators.tend_h ~on:s.Exchange.own_cells m ~h_edge:diag.Fields.h_edge
-        ~u:(u_of r) ~out:tend.Fields.tend_h;
-      Operators.tend_u ~on:s.Exchange.own_edges
-        ~pv_average:cfg.Config.pv_average m ~gravity:cfg.Config.gravity
-        ~h:(h_of r) ~b:t.b ~ke:diag.Fields.ke ~h_edge:diag.Fields.h_edge
-        ~u:(u_of r) ~pv_edge:diag.Fields.pv_edge ~out:tend.Fields.tend_u;
-      Operators.dissipation ~on:s.Exchange.own_edges m ~visc2:cfg.Config.visc2
-        ~divergence:diag.Fields.divergence ~vorticity:diag.Fields.vorticity
-        ~tend_u:tend.Fields.tend_u;
-      Operators.local_forcing ~on:s.Exchange.own_edges m
-        ~drag:cfg.Config.bottom_drag ~u:(u_of r) ~tend_u:tend.Fields.tend_u;
-      Operators.enforce_boundary_edge ~on:s.Exchange.own_edges m
-        ~tend_u:tend.Fields.tend_u);
-  if cfg.Config.visc4 <> 0. then begin
-    each t (fun r s ->
-        Operators.velocity_laplacian ~on:s.Exchange.own_edges m
-          ~divergence:t.diags.(r).Fields.divergence
-          ~vorticity:t.diags.(r).Fields.vorticity
-          ~out:t.diags.(r).Fields.lap_u);
-    xch t Exchange.Edges (fun r -> t.diags.(r).Fields.lap_u);
-    each t (fun r s ->
-        Operators.divergence ~on:s.Exchange.own_cells m
-          ~u:t.diags.(r).Fields.lap_u ~out:t.diags.(r).Fields.div_lap;
-        Operators.vorticity ~on:s.Exchange.own_vertices m
-          ~u:t.diags.(r).Fields.lap_u ~out:t.diags.(r).Fields.vort_lap);
-    xch t Exchange.Cells (fun r -> t.diags.(r).Fields.div_lap);
-    xch t Exchange.Vertices (fun r -> t.diags.(r).Fields.vort_lap);
-    each t (fun r s ->
-        Operators.del4_dissipation ~on:s.Exchange.own_edges m
-          ~visc4:cfg.Config.visc4 ~div_lap:t.diags.(r).Fields.div_lap
-          ~vort_lap:t.diags.(r).Fields.vort_lap
-          ~tend_u:t.tends.(r).Fields.tend_u);
-    (* The boundary mask applies after every contribution. *)
-    each t (fun r s ->
-        Operators.enforce_boundary_edge ~on:s.Exchange.own_edges m
-          ~tend_u:t.tends.(r).Fields.tend_u)
-  end;
-  let n_tracers = Array.length t.diags.(0).Fields.tracer_edge in
-  for k = 0 to n_tracers - 1 do
-    each t (fun r s ->
-        Operators.tend_tracer ~on:s.Exchange.own_cells m
-          ~h_edge:t.diags.(r).Fields.h_edge ~u:(u_of r)
-          ~tracer_edge:t.diags.(r).Fields.tracer_edge.(k)
-          ~out:t.tends.(r).Fields.tend_tracers.(k))
-  done
+(* The sweep's halo hook: one [Exchange.exchange] of the field each
+   rank's arrays hold at [loc]. *)
+let halo t : Timestep.exchange =
+ fun loc field ->
+  let loc =
+    match loc with
+    | Timestep.Cells -> Exchange.Cells
+    | Timestep.Edges -> Exchange.Edges
+    | Timestep.Vertices -> Exchange.Vertices
+  in
+  Exchange.exchange t.exchange loc (Array.map field t.ranks)
 
 let m_steps = Mpas_obs.Metrics.counter "dist.steps"
 
+(* Every rank runs [Timestep.refactored]'s chain order on its owned
+   spans, with a halo exchange after each producing chain (paper
+   Figures 2/4: "Exchange halo"). *)
 let step_body t =
-  let m = t.mesh in
-  let dt = t.dt in
-  let substep_coef = [| dt /. 2.; dt /. 2.; dt |] in
-  let accum_coef = [| dt /. 6.; dt /. 3.; dt /. 3.; dt /. 6. |] in
-  each t (fun r s ->
-      Fields.blit_state ~src:t.states.(r) ~dst:t.accums.(r);
-      Fields.blit_state ~src:t.states.(r) ~dst:t.provis.(r);
-      Operators.seed_tracer_accumulator ~on:s.Exchange.own_cells m
-        ~state:t.states.(r) ~accum:t.accums.(r));
-  for rk = 0 to 3 do
-    compute_tend t
-      ~h_of:(fun r -> t.provis.(r).Fields.h)
-      ~u_of:(fun r -> t.provis.(r).Fields.u);
-    if rk < 3 then begin
-      each t (fun r s ->
-          Operators.next_substep_state ~on_cells:s.Exchange.own_cells
-            ~on_edges:s.Exchange.own_edges m ~coef:substep_coef.(rk)
-            ~base:t.states.(r) ~tend:t.tends.(r) ~provis:t.provis.(r);
-          Operators.next_substep_tracers ~on:s.Exchange.own_cells m
-            ~coef:substep_coef.(rk) ~base:t.states.(r) ~tend:t.tends.(r)
-            ~provis:t.provis.(r));
-      xch t Exchange.Cells (fun r -> t.provis.(r).Fields.h);
-      xch t Exchange.Edges (fun r -> t.provis.(r).Fields.u);
-      for k = 0 to Array.length t.provis.(0).Fields.tracers - 1 do
-        xch t Exchange.Cells (fun r -> t.provis.(r).Fields.tracers.(k))
-      done;
-      solve_diagnostics t
-        ~h_of:(fun r -> t.provis.(r).Fields.h)
-        ~u_of:(fun r -> t.provis.(r).Fields.u)
-        ~tracer_of:(fun r k -> t.provis.(r).Fields.tracers.(k));
-      each t (fun r s ->
-          Operators.accumulate ~on_cells:s.Exchange.own_cells
-            ~on_edges:s.Exchange.own_edges m ~coef:accum_coef.(rk)
-            ~tend:t.tends.(r) ~accum:t.accums.(r);
-          Operators.accumulate_tracers ~on:s.Exchange.own_cells m
-            ~coef:accum_coef.(rk) ~tend:t.tends.(r) ~accum:t.accums.(r))
-    end
-    else begin
-      each t (fun r s ->
-          Operators.accumulate ~on_cells:s.Exchange.own_cells
-            ~on_edges:s.Exchange.own_edges m ~coef:accum_coef.(rk)
-            ~tend:t.tends.(r) ~accum:t.accums.(r);
-          Operators.accumulate_tracers ~on:s.Exchange.own_cells m
-            ~coef:accum_coef.(rk) ~tend:t.tends.(r) ~accum:t.accums.(r);
-          Fields.blit_state ~src:t.accums.(r) ~dst:t.states.(r);
-          Operators.finalize_tracers ~on:s.Exchange.own_cells m
-            ~state:t.states.(r));
-      xch t Exchange.Cells (fun r -> t.states.(r).Fields.h);
-      xch t Exchange.Edges (fun r -> t.states.(r).Fields.u);
-      for k = 0 to Array.length t.states.(0).Fields.tracers - 1 do
-        xch t Exchange.Cells (fun r -> t.states.(r).Fields.tracers.(k))
-      done;
-      solve_diagnostics t
-        ~h_of:(fun r -> t.states.(r).Fields.h)
-        ~u_of:(fun r -> t.states.(r).Fields.u)
-        ~tracer_of:(fun r k -> t.states.(r).Fields.tracers.(k));
-      each t (fun r s ->
-          Reconstruct.run ~on:s.Exchange.own_cells t.recon m
-            ~u:t.states.(r).Fields.u ~out:t.recons.(r))
-    end
-  done;
+  Timestep.rk4_sweep Timestep.refactored t.config t.mesh ~b:t.b
+    ~recon:t.recon ~dt:t.dt ~exchange:(halo t) t.ranks;
   t.steps_taken <- t.steps_taken + 1
 
 let step t =
@@ -221,6 +62,31 @@ let of_state ?(config = Config.default) ~n_ranks ~dt ~b m state =
   let exchange = Exchange.build m part in
   let n_tracers = Fields.n_tracers state in
   let alloc f = Array.init n_ranks (fun _ -> f ?n_tracers:(Some n_tracers) m) in
+  let states = Array.init n_ranks (fun _ -> Fields.copy_state state) in
+  let provis = alloc Fields.alloc_state and tends = alloc Fields.alloc_tendencies
+  and accums = alloc Fields.alloc_state
+  and diags = alloc Fields.alloc_diagnostics
+  and recons = Array.init n_ranks (fun _ -> Fields.alloc_reconstruction m) in
+  let ranks =
+    Array.map
+      (fun (s : Exchange.rank_sets) ->
+        let r = s.Exchange.rank in
+        {
+          Timestep.cells = s.Exchange.own_cells;
+          edges = s.Exchange.own_edges;
+          vertices = s.Exchange.own_vertices;
+          state = states.(r);
+          work =
+            {
+              Timestep.provis = provis.(r);
+              tend = tends.(r);
+              accum = accums.(r);
+              diag = diags.(r);
+              recon = recons.(r);
+            };
+        })
+      exchange.Exchange.sets
+  in
   let t =
     {
       mesh = m;
@@ -229,19 +95,17 @@ let of_state ?(config = Config.default) ~n_ranks ~dt ~b m state =
       exchange;
       recon = Reconstruct.init m;
       dt;
-      states = Array.init n_ranks (fun _ -> Fields.copy_state state);
-      provis = alloc Fields.alloc_state;
-      tends = alloc Fields.alloc_tendencies;
-      accums = alloc Fields.alloc_state;
-      diags = alloc Fields.alloc_diagnostics;
-      recons = Array.init n_ranks (fun _ -> Fields.alloc_reconstruction m);
+      states;
+      provis;
+      tends;
+      accums;
+      diags;
+      recons;
+      ranks;
       steps_taken = 0;
     }
   in
-  solve_diagnostics t
-    ~h_of:(fun r -> t.states.(r).Fields.h)
-    ~u_of:(fun r -> t.states.(r).Fields.u)
-    ~tracer_of:(fun r k -> t.states.(r).Fields.tracers.(k));
+  Timestep.diagnose Timestep.refactored config m ~dt ~exchange:(halo t) ranks;
   t
 
 let init ?config ?dt ?(tracers = [||]) ~n_ranks case m =
@@ -256,9 +120,9 @@ let init ?config ?dt ?(tracers = [||]) ~n_ranks case m =
 let gather_state t =
   let global = Fields.alloc_state t.mesh in
   each t (fun r s ->
-      Array.iter (fun c -> global.Fields.h.(c) <- t.states.(r).Fields.h.(c))
+      Span.iter (fun c -> global.Fields.h.(c) <- t.states.(r).Fields.h.(c))
         s.Exchange.own_cells;
-      Array.iter (fun e -> global.Fields.u.(e) <- t.states.(r).Fields.u.(e))
+      Span.iter (fun e -> global.Fields.u.(e) <- t.states.(r).Fields.u.(e))
         s.Exchange.own_edges);
   global
 
@@ -267,9 +131,9 @@ let poison_invisible t =
   each t (fun r s ->
       let cell_ok = Array.make m.n_cells false in
       let edge_ok = Array.make m.n_edges false in
-      Array.iter (fun c -> cell_ok.(c) <- true) s.Exchange.own_cells;
+      Span.iter (fun c -> cell_ok.(c) <- true) s.Exchange.own_cells;
       Array.iter (fun c -> cell_ok.(c) <- true) s.Exchange.ghost_cells;
-      Array.iter (fun e -> edge_ok.(e) <- true) s.Exchange.own_edges;
+      Span.iter (fun e -> edge_ok.(e) <- true) s.Exchange.own_edges;
       Array.iter (fun e -> edge_ok.(e) <- true) s.Exchange.ghost_edges;
       for c = 0 to m.n_cells - 1 do
         if not cell_ok.(c) then t.states.(r).Fields.h.(c) <- Float.nan
@@ -281,10 +145,10 @@ let poison_invisible t =
 let owned_values_finite t =
   let ok = ref true in
   each t (fun r s ->
-      Array.iter
+      Span.iter
         (fun c -> if Float.is_nan t.states.(r).Fields.h.(c) then ok := false)
         s.Exchange.own_cells;
-      Array.iter
+      Span.iter
         (fun e -> if Float.is_nan t.states.(r).Fields.u.(e) then ok := false)
         s.Exchange.own_edges);
   !ok

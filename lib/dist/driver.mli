@@ -1,14 +1,16 @@
 (** Distributed (simulated-MPI) execution of the shallow-water model.
 
     Each rank owns a patch of the partition and holds its own copy of
-    every field array, valid only on its owned + ghost entities; ranks
-    compute kernels on exactly their owned entities and halo exchanges
-    copy boundary data between the per-rank arrays after each producing
-    kernel.  Because the refactored gather loops compute each output
-    item independently, the distributed run is {e bitwise} identical to
-    the serial run on every owned entity — the reproduction of the
-    paper's multi-process correctness, with the exchange structure of
-    its Figures 2/4.
+    every field array, valid only on its owned + ghost entities.  A
+    step is [Timestep.rk4_sweep] — the very chain order
+    [Timestep.refactored] runs solo — over the ranks' owned span sets,
+    with an {!Exchange.exchange} after each chain whose output a
+    neighbouring rank reads (40 per step on the default fourth-order
+    configuration).  The driver keeps no kernel sequence of its own.
+    Because the gather loops compute each output item independently,
+    the distributed run is {e bitwise} identical to the serial run on
+    every owned entity — the reproduction of the paper's multi-process
+    correctness, with the exchange structure of its Figures 2/4.
 
     No real MPI is involved (DESIGN.md §3): ranks execute round-robin
     in one process, which preserves all data dependencies of a true MPI
@@ -31,6 +33,9 @@ type t = {
   accums : Fields.state array;
   diags : Fields.diagnostics array;
   recons : Fields.reconstruction array;
+  ranks : Timestep.rank array;
+      (** each rank's owned span sets over the arrays above, as
+          [Timestep.rk4_sweep] runs them *)
   mutable steps_taken : int;
 }
 

@@ -1,4 +1,5 @@
 open Mpas_mesh
+open Mpas_par
 
 type location = Cells | Edges | Vertices
 
@@ -9,9 +10,9 @@ let location_name = function
 
 type rank_sets = {
   rank : int;
-  own_cells : int array;
-  own_edges : int array;
-  own_vertices : int array;
+  own_cells : Span.t;
+  own_edges : Span.t;
+  own_vertices : Span.t;
   ghost_cells : int array;
   ghost_edges : int array;
   ghost_vertices : int array;
@@ -28,13 +29,9 @@ type t = {
   mutable values_moved : int;
 }
 
-(* Entities owned by each rank, as sorted index arrays. *)
+(* Entities owned by each rank, as span sets. *)
 let owned_of owner n_ranks n =
-  let buckets = Array.make n_ranks [] in
-  for i = n - 1 downto 0 do
-    buckets.(owner.(i)) <- i :: buckets.(owner.(i))
-  done;
-  Array.map Array.of_list buckets
+  Array.init n_ranks (fun r -> Span.of_pred n (fun i -> owner.(i) = r))
 
 let build (m : Mesh.t) (p : Mpas_partition.Partition.t) =
   let n_ranks = p.Mpas_partition.Partition.n_parts in
@@ -54,7 +51,7 @@ let build (m : Mesh.t) (p : Mpas_partition.Partition.t) =
         let cell_read = Array.make m.n_cells false in
         let edge_read = Array.make m.n_edges false in
         let vertex_read = Array.make m.n_vertices false in
-        Array.iter
+        Span.iter
           (fun c ->
             for j = 0 to m.n_edges_on_cell.(c) - 1 do
               edge_read.(m.edges_on_cell.(c).(j)) <- true;
@@ -62,13 +59,13 @@ let build (m : Mesh.t) (p : Mpas_partition.Partition.t) =
               vertex_read.(m.vertices_on_cell.(c).(j)) <- true
             done)
           own_cells.(rank);
-        Array.iter
+        Span.iter
           (fun e ->
             Array.iter (fun c -> cell_read.(c) <- true) m.cells_on_edge.(e);
             Array.iter (fun v -> vertex_read.(v) <- true) m.vertices_on_edge.(e);
             Array.iter (fun e' -> edge_read.(e') <- true) m.edges_on_edge.(e))
           own_edges.(rank);
-        Array.iter
+        Span.iter
           (fun v ->
             Array.iter (fun e -> edge_read.(e) <- true) m.edges_on_vertex.(v);
             Array.iter (fun c -> cell_read.(c) <- true) m.cells_on_vertex.(v))
@@ -123,12 +120,9 @@ let exchange t loc fields =
   let moved = ref 0 in
   Array.iter
     (fun s ->
-      let dst = fields.(s.rank) in
-      Array.iter
-        (fun g ->
-          dst.(g) <- fields.(owner.(g)).(g);
-          incr moved)
-        (ghosts_of s))
+      let dst = fields.(s.rank) and ghosts = ghosts_of s in
+      Array.iter (fun g -> dst.(g) <- fields.(owner.(g)).(g)) ghosts;
+      moved := !moved + Array.length ghosts)
     t.sets;
   t.values_moved <- t.values_moved + !moved;
   t.exchanges <- t.exchanges + 1;
@@ -147,12 +141,12 @@ let exchange t loc fields =
    the interior sweep still runs. *)
 type split = {
   sp_rank : int;
-  int_cells : int array;
-  bnd_cells : int array;
-  int_edges : int array;
-  bnd_edges : int array;
-  int_vertices : int array;
-  bnd_vertices : int array;
+  int_cells : Span.t;
+  bnd_cells : Span.t;
+  int_edges : Span.t;
+  bnd_edges : Span.t;
+  int_vertices : Span.t;
+  bnd_vertices : Span.t;
   send_cells : int array;
   send_edges : int array;
   send_vertices : int array;
@@ -177,9 +171,7 @@ let classify t ~depth =
       Array.iter (fun g -> se.(g) <- true) s.ghost_edges;
       Array.iter (fun g -> sv.(g) <- true) s.ghost_vertices)
     t.sets;
-  let filt pred arr =
-    Array.of_list (List.filter pred (Array.to_list arr))
-  in
+  let filt pred own = Span.to_array (Span.filter pred own) in
   Array.init t.n_ranks (fun r ->
       let int_cells, bnd_cells = ib.(r) in
       let bcell = Array.make m.n_cells false in
@@ -200,12 +192,13 @@ let classify t ~depth =
       in
       {
         sp_rank = r;
-        int_cells;
-        bnd_cells;
-        int_edges = filt (fun e -> not (bnd_edge e)) s.own_edges;
-        bnd_edges = filt bnd_edge s.own_edges;
-        int_vertices = filt (fun v -> not (bnd_vertex v)) s.own_vertices;
-        bnd_vertices = filt bnd_vertex s.own_vertices;
+        int_cells = Span.of_sorted int_cells;
+        bnd_cells = Span.of_sorted bnd_cells;
+        int_edges = Span.filter (fun e -> not (bnd_edge e)) s.own_edges;
+        bnd_edges = Span.filter bnd_edge s.own_edges;
+        int_vertices =
+          Span.filter (fun v -> not (bnd_vertex v)) s.own_vertices;
+        bnd_vertices = Span.filter bnd_vertex s.own_vertices;
         send_cells = filt (fun c -> sc.(c)) s.own_cells;
         send_edges = filt (fun e -> se.(e)) s.own_edges;
         send_vertices = filt (fun v -> sv.(v)) s.own_vertices;
@@ -231,7 +224,7 @@ let check t =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   (* Ownership partitions each entity set. *)
-  let total f = Array.fold_left (fun acc s -> acc + Array.length (f s)) 0 t.sets in
+  let total f = Array.fold_left (fun acc s -> acc + Span.cardinal (f s)) 0 t.sets in
   if total (fun s -> s.own_cells) <> m.n_cells then err "cells not partitioned";
   if total (fun s -> s.own_edges) <> m.n_edges then err "edges not partitioned";
   if total (fun s -> s.own_vertices) <> m.n_vertices then
@@ -241,11 +234,11 @@ let check t =
       let visible_cell = Array.make m.n_cells false in
       let visible_edge = Array.make m.n_edges false in
       let visible_vertex = Array.make m.n_vertices false in
-      Array.iter (fun c -> visible_cell.(c) <- true) s.own_cells;
+      Span.iter (fun c -> visible_cell.(c) <- true) s.own_cells;
       Array.iter (fun c -> visible_cell.(c) <- true) s.ghost_cells;
-      Array.iter (fun e -> visible_edge.(e) <- true) s.own_edges;
+      Span.iter (fun e -> visible_edge.(e) <- true) s.own_edges;
       Array.iter (fun e -> visible_edge.(e) <- true) s.ghost_edges;
-      Array.iter (fun v -> visible_vertex.(v) <- true) s.own_vertices;
+      Span.iter (fun v -> visible_vertex.(v) <- true) s.own_vertices;
       Array.iter (fun v -> visible_vertex.(v) <- true) s.ghost_vertices;
       (* Ghosts must not be owned. *)
       Array.iter
@@ -253,7 +246,7 @@ let check t =
           if t.cell_owner.(c) = s.rank then err "rank %d ghosts own cell" s.rank)
         s.ghost_cells;
       (* Every stencil access from owned items must be visible. *)
-      Array.iter
+      Span.iter
         (fun c ->
           for j = 0 to m.n_edges_on_cell.(c) - 1 do
             if not visible_edge.(m.edges_on_cell.(c).(j)) then
@@ -264,7 +257,7 @@ let check t =
               err "rank %d: cell %d reads invisible vertex" s.rank c
           done)
         s.own_cells;
-      Array.iter
+      Span.iter
         (fun e ->
           Array.iter
             (fun c ->
@@ -282,7 +275,7 @@ let check t =
                 err "rank %d: edge %d reads invisible edge" s.rank e)
             m.edges_on_edge.(e))
         s.own_edges;
-      Array.iter
+      Span.iter
         (fun v ->
           Array.iter
             (fun e ->

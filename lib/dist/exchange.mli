@@ -12,9 +12,16 @@
     ghost set at a location is every entity of that location reachable
     from its owned items in one kernel application.  Exchanging a field
     after the kernel that produces it therefore keeps all reads valid —
-    the fine-grained variant of the paper's "Exchange halo" boxes. *)
+    the fine-grained variant of the paper's "Exchange halo" boxes.
+
+    Compute sets — the owned sets and the interior/boundary split — are
+    {!Mpas_par.Span} sets (a space-filling-curve partition gives each
+    rank a few hundred runs), so a rank's kernel sweep is a straight
+    loop per run.  Ghost and send lists stay index arrays: they are
+    copied element by element. *)
 
 open Mpas_mesh
+open Mpas_par
 
 type location = Cells | Edges | Vertices
 
@@ -22,9 +29,9 @@ val location_name : location -> string
 
 type rank_sets = {
   rank : int;
-  own_cells : int array;
-  own_edges : int array;
-  own_vertices : int array;
+  own_cells : Span.t;  (** cells this rank computes *)
+  own_edges : Span.t;
+  own_vertices : Span.t;
   ghost_cells : int array;  (** cells read but owned elsewhere *)
   ghost_edges : int array;
   ghost_vertices : int array;
@@ -53,19 +60,19 @@ val exchange : t -> location -> float array array -> unit
 
 (** Interior/boundary/send decomposition of each rank's owned sets,
     keyed by halo [depth] — the transfer-overlap split.  Interior and
-    boundary arrays tile the owned set of each location; a depth-1
+    boundary span sets tile the owned set of each location; a depth-1
     kernel stencil on an interior entity reads owned entities only;
     the send sets (entities some other rank ghosts) are contained in
     the boundary sets, so a field can be packed as soon as its
     boundary sweep retires. *)
 type split = {
   sp_rank : int;
-  int_cells : int array;
-  bnd_cells : int array;
-  int_edges : int array;
-  bnd_edges : int array;
-  int_vertices : int array;
-  bnd_vertices : int array;
+  int_cells : Span.t;
+  bnd_cells : Span.t;
+  int_edges : Span.t;
+  bnd_edges : Span.t;
+  int_vertices : Span.t;
+  bnd_vertices : Span.t;
   send_cells : int array;  (** owned cells some other rank ghosts *)
   send_edges : int array;
   send_vertices : int array;

@@ -1,3 +1,4 @@
+open Mpas_par
 open Mpas_swe
 open Mpas_patterns
 module Spec = Mpas_runtime.Spec
@@ -31,8 +32,8 @@ type access = {
   a_slot : string;
   a_point : Pattern.point;
   a_size : int;
-  a_reads : int array list;
-  a_writes : int array list;
+  a_reads : Span.t list;
+  a_writes : Span.t list;
 }
 
 type t = {
@@ -93,7 +94,7 @@ let field_array (d : Driver.t) ~field ~rank =
   | "pv_edge" -> (diag ()).Fields.pv_edge
   | f -> invalid_arg ("Mpas_dist.Overlap: not an exchanged field: " ^ f)
 
-(* Region-resolved dependence keys and the index sets behind them. *)
+(* Region-resolved dependence keys and the span sets behind them. *)
 
 let region_tag = function Int -> 'i' | Bnd -> 'b' | Gho -> 'g'
 let key v r reg = Printf.sprintf "%s@%d%c" v r (region_tag reg)
@@ -102,17 +103,21 @@ let sbuf_name v r = Printf.sprintf "sbuf:%s@%d" v r
 let rbuf_name v r = Printf.sprintf "rbuf:%s@%d" v r
 let rbuf_key v = "rbuf:" ^ v
 
+(* The span set of a region: a compute set for interior and boundary,
+   the (sorted) ghost list for ghosts. *)
 let region_set (x : Exchange.t) (splits : Exchange.split array) pt reg r =
   match (pt, reg) with
   | Pattern.Mass, Int -> splits.(r).Exchange.int_cells
   | Pattern.Mass, Bnd -> splits.(r).Exchange.bnd_cells
-  | Pattern.Mass, Gho -> x.Exchange.sets.(r).Exchange.ghost_cells
+  | Pattern.Mass, Gho -> Span.of_sorted x.Exchange.sets.(r).Exchange.ghost_cells
   | Pattern.Velocity, Int -> splits.(r).Exchange.int_edges
   | Pattern.Velocity, Bnd -> splits.(r).Exchange.bnd_edges
-  | Pattern.Velocity, Gho -> x.Exchange.sets.(r).Exchange.ghost_edges
+  | Pattern.Velocity, Gho ->
+      Span.of_sorted x.Exchange.sets.(r).Exchange.ghost_edges
   | Pattern.Vorticity, Int -> splits.(r).Exchange.int_vertices
   | Pattern.Vorticity, Bnd -> splits.(r).Exchange.bnd_vertices
-  | Pattern.Vorticity, Gho -> x.Exchange.sets.(r).Exchange.ghost_vertices
+  | Pattern.Vorticity, Gho ->
+      Span.of_sorted x.Exchange.sets.(r).Exchange.ghost_vertices
 
 let var_point v = (Registry.variable v).Registry.var_point
 
@@ -266,8 +271,6 @@ let comm_instance ~id ~field ~point =
     irregular = false;
   }
 
-let full n = Array.init n (fun i -> i)
-
 (* One halo exchange of [field] -> pack group, transfer, unpack group.
    Buffers are per field so exchanges of different fields can fly
    concurrently.  Returns the ghost-value count for the traffic
@@ -307,8 +310,8 @@ let comm_group bld ~(d : Driver.t) ~splits ~field ~point =
       a_slot = sbuf_name field r;
       a_point = point;
       a_size = len;
-      a_reads = (if rw = `R then [ full len ] else []);
-      a_writes = (if rw = `W then [ full len ] else []);
+      a_reads = (if rw = `R then [ Span.full len ] else []);
+      a_writes = (if rw = `W then [ Span.full len ] else []);
     }
   in
   let rbuf_acc r rw =
@@ -317,8 +320,8 @@ let comm_group bld ~(d : Driver.t) ~splits ~field ~point =
       a_slot = rbuf_name field r;
       a_point = point;
       a_size = len;
-      a_reads = (if rw = `R then [ full len ] else []);
-      a_writes = (if rw = `W then [ full len ] else []);
+      a_reads = (if rw = `R then [ Span.full len ] else []);
+      a_writes = (if rw = `W then [ Span.full len ] else []);
     }
   in
   emit bld
@@ -338,7 +341,7 @@ let comm_group bld ~(d : Driver.t) ~splits ~field ~point =
                  a_slot = slot_name field r;
                  a_point = point;
                  a_size = n;
-                 a_reads = [ send_of r ];
+                 a_reads = [ Span.of_sorted (send_of r) ];
                  a_writes = [];
                };
                sbuf_acc r `W;
@@ -377,7 +380,7 @@ let comm_group bld ~(d : Driver.t) ~splits ~field ~point =
                a_point = point;
                a_size = n;
                a_reads = [];
-               a_writes = [ ghosts ];
+               a_writes = [ Span.of_sorted ghosts ];
              }
              :: List.init nr (fun r' -> rbuf_acc r' `R);
          }));
@@ -449,14 +452,7 @@ let of_driver ?(mode = Exec.Async) ?pool ?log ?(depth = 1) (d : Driver.t) =
           b = d.Driver.b;
           dt = d.Driver.dt;
           state = d.Driver.states.(r);
-          work =
-            {
-              Timestep.provis = d.Driver.provis.(r);
-              tend = d.Driver.tends.(r);
-              accum = d.Driver.accums.(r);
-              diag = d.Driver.diags.(r);
-              recon = d.Driver.recons.(r);
-            };
+          work = d.Driver.ranks.(r).Timestep.work;
           recon = Some d.Driver.recon;
           rk = 0;
         })

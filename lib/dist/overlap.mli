@@ -15,7 +15,7 @@
     real hazard edges while interior compute carries no edge to the
     wire, so any {!Mpas_runtime.Exec} mode may run interior sweeps
     while ghosts are in flight.  Task bodies are the CSR kernels of
-    {!Mpas_runtime.Bind} restricted to the region index sets plus the
+    {!Mpas_runtime.Bind} restricted to the region span sets plus the
     plain-copy comm bodies, so a step is {e bitwise} identical to
     [Driver.step] on every owned entity.
 
@@ -32,7 +32,7 @@ module Exec = Mpas_runtime.Exec
 
 type t
 
-(** Declared footprint fragment of one task: index sets read and
+(** Declared footprint fragment of one task: span sets read and
     written in the array slot [a_slot] (length [a_size], living at
     [a_point]).  Slots are per-rank field views (["r2:provis_h"]) or
     staging buffers (["sbuf:provis_h@2"], ["rbuf:provis_h@2"]).  One
@@ -41,8 +41,8 @@ type access = {
   a_slot : string;
   a_point : Pattern.point;
   a_size : int;
-  a_reads : int array list;
-  a_writes : int array list;
+  a_reads : Mpas_par.Span.t list;
+  a_writes : Mpas_par.Span.t list;
 }
 
 (** True when the driver's configuration is expressible as an

@@ -109,7 +109,8 @@ let each v f ~block () =
 let substep_coef dt rk = if rk < 2 then dt /. 2. else dt
 let accum_coef dt rk = if rk = 0 || rk = 3 then dt /. 6. else dt /. 3.
 
-(* The RK-4 substep chains, mirroring [Timestep.rk4_step] exactly.
+(* The RK-4 substep chains, in the unfused kernel order whose fusion
+   [Timestep.rk4_step] runs (bitwise the same values).
    Early (substeps 0-2): tendencies of the provisional state, boundary,
    next provisional state, diagnostics of it, accumulate.  Final
    (substep 3): tendencies, boundary, accumulate, publish the

@@ -8,9 +8,9 @@
     provisional and accumulator states, both tendencies, the twelve
     Table-I diagnostics and its topography — allocated on the slot's
     first {!submit} and reused after {!evict}.  A batch step calls, for
-    every running member, the same {!Mpas_swe.Operators} kernel that
-    {!Mpas_swe.Timestep.refactored} calls at that point, with the
-    member's own config scalars and [dt].  There is no second copy of
+    every running member, the {!Mpas_swe.Operators} member kernels of
+    the chains {!Mpas_swe.Timestep.refactored} runs, one kernel per
+    task, with the member's own config scalars and [dt].  There is no second copy of
     any stencil, and a batched member-step costs about one solo step.
 
     Scheduling reuses the dataflow runtime: the RK-4 substep kernel

@@ -262,14 +262,8 @@ let out_length (m : Mesh.t) kernel =
 let run ?pool ?on env kernel ~out =
   let f = eval env kernel in
   let n = out_length env.mesh kernel in
-  let body i = out.(i) <- f i in
-  match (pool, on) with
-  | None, None ->
-      for i = 0 to n - 1 do
-        body i
-      done
-  | None, Some idx -> Array.iter body idx
-  | Some p, None -> Mpas_par.Pool.parallel_for p ~lo:0 ~hi:n body
-  | Some p, Some idx ->
-      Mpas_par.Pool.parallel_for p ~lo:0 ~hi:(Array.length idx) (fun k ->
-          body idx.(k))
+  let on = match on with Some s -> s | None -> Mpas_par.Span.full n in
+  Mpas_par.Span.runs pool on (fun ~lo ~hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- f i
+      done)

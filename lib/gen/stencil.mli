@@ -79,10 +79,10 @@ type env = { mesh : Mesh.t; fields : (string * float array) list }
     fields (run [check] first). *)
 val eval_at : env -> kernel -> int -> float
 
-(** Execute over the whole output space (or [?on] indices) into [out],
+(** Execute over the whole output space (or the [?on] span set) into [out],
     in gather form; safe under the pool like every refactored loop. *)
 val run :
-  ?pool:Mpas_par.Pool.t -> ?on:int array -> env -> kernel ->
+  ?pool:Mpas_par.Pool.t -> ?on:Mpas_par.Span.t -> env -> kernel ->
   out:float array -> unit
 
 (** Length of the output array the kernel needs on [mesh]. *)

@@ -282,6 +282,7 @@ let of_triangulation ?(radius = Sphere.earth_radius)
     f_edge = Array.map coriolis x_edge;
     f_vertex = Array.map coriolis x_vertex;
     boundary_edge = Array.make n_edges false;
+    has_boundary = false;
     csr_cache = None;
   }
   in

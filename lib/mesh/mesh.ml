@@ -59,6 +59,7 @@ type t = {
   f_edge : float array;
   f_vertex : float array;
   boundary_edge : bool array;
+  has_boundary : bool;
   mutable csr_cache : csr option;
 }
 
@@ -70,7 +71,8 @@ let domain_area t =
 let mean_spacing t = Stats.mean t.dc_edge
 
 let with_boundary_edges t pred =
-  { t with boundary_edge = Array.init t.n_edges pred }
+  let boundary_edge = Array.init t.n_edges pred in
+  { t with boundary_edge; has_boundary = Array.exists Fun.id boundary_edge }
 
 let with_coriolis t f =
   {

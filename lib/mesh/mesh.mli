@@ -103,6 +103,9 @@ type t = {
   f_edge : float array;
   f_vertex : float array;
   boundary_edge : bool array;
+  has_boundary : bool;
+      (** some [boundary_edge] is set; fixed when the mask is built, so
+          kernels need not scan it per call *)
   mutable csr_cache : csr option;
       (** memoized {!csr} view; builders initialize it eagerly, meshes
           deserialized or assembled by hand start at [None] and build on

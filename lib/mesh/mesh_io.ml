@@ -206,6 +206,7 @@ let of_string s =
     edge_normal; edge_tangent; angle_edge;
     edge_sign_on_cell; edge_sign_on_vertex;
     f_cell; f_edge; f_vertex; boundary_edge;
+    has_boundary = Array.exists Fun.id boundary_edge;
     csr_cache = None;
   }
 

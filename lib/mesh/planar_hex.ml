@@ -182,6 +182,7 @@ let create ?(f = 0.) ~nx ~ny ~dc () =
     f_edge = Array.make n_edges f;
     f_vertex = Array.make n_vertices f;
     boundary_edge = Array.make n_edges false;
+    has_boundary = false;
     csr_cache = None;
   }
   in

@@ -1,4 +1,5 @@
 open Mpas_mesh
+open Mpas_par
 open Mpas_swe
 open Mpas_patterns
 
@@ -18,15 +19,15 @@ let cut n f =
   Int.max 0 (Int.min n k)
 
 let part_range ~n (f0, f1) =
-  let lo = cut n f0 and hi = cut n f1 in
-  Array.init (Int.max 0 (hi - lo)) (fun k -> lo + k)
+  let lo = cut n f0 in
+  Span.range lo (Int.max lo (cut n f1))
 
-(* Contiguous [lo, hi) of a part over an n-element space; the same
-   cut points as [part_range], so the fused tile kernels cover exactly
-   the indices the member-sequential path would. *)
-let bounds n = function
-  | None -> (0, n)
-  | Some (f0, f1) -> (cut n f0, cut n f1)
+(* The span set a task covers in an n-element space: the full range,
+   or its part's single span — the same set for the fused tile chains
+   and the member-sequential path. *)
+let part_span n = function
+  | None -> Span.full n
+  | Some p -> part_range ~n p
 
 let timestep_kernel : Pattern.kernel -> Timestep.kernel = function
   | Pattern.Compute_tend -> Timestep.Compute_tend
@@ -47,12 +48,11 @@ let substep_coef env = [| env.dt /. 2.; env.dt /. 2.; env.dt |]
 let accum_coef env =
   [| env.dt /. 6.; env.dt /. 3.; env.dt /. 3.; env.dt /. 6. |]
 
-(* The shared instance-to-closure table.  [on] is the index subset for
-   an instance with a single iteration space; X3/X4/X5 use [on_cells] /
-   [on_edges] instead.  [None] = the full range (CSR fast paths). *)
-let compile_body env ~final ~(on : int array option)
-    ~(on_cells : int array option) ~(on_edges : int array option)
-    (inst : Pattern.instance) =
+(* The shared instance-to-closure table.  [on] is the span set for an
+   instance with a single iteration space; X3/X4/X5 use [on_cells] /
+   [on_edges] instead.  [None] = the full range. *)
+let compile_body env ~final ~(on : Span.t option) ~(on_cells : Span.t option)
+    ~(on_edges : Span.t option) (inst : Pattern.instance) =
   let m = env.mesh and cfg = env.cfg and work = env.work in
   let diag = work.Timestep.diag and tend = work.Timestep.tend in
   let provis = work.Timestep.provis and accum = work.Timestep.accum in
@@ -60,6 +60,7 @@ let compile_body env ~final ~(on : int array option)
      final substep); renamed diagnostics/reconstruction read the
      updated state the final X4/X5 publish. *)
   let src = if final then env.state else provis in
+  let publish = if final then Some env.state else None in
   let substep_coef = substep_coef env in
   let accum_coef = accum_coef env in
   match inst.Pattern.id with
@@ -141,28 +142,12 @@ let compile_body env ~final ~(on : int array option)
      sequential driver, split per space and per part) *)
   | "X4" ->
       fun () ->
-        Operators.accumulate ?on_cells ~on_edges:[||] m
-          ~coef:accum_coef.(env.rk) ~tend ~accum;
-        if final then
-          (match on_cells with
-          | None ->
-              Array.blit accum.Fields.h 0 env.state.Fields.h 0 m.Mesh.n_cells
-          | Some idx ->
-              Array.iter
-                (fun c -> env.state.Fields.h.(c) <- accum.Fields.h.(c))
-                idx)
+        Operators.accumulate ?on_cells ~on_edges:Span.empty ?publish m
+          ~coef:accum_coef.(env.rk) ~tend ~accum
   | "X5" ->
       fun () ->
-        Operators.accumulate ~on_cells:[||] ?on_edges m
-          ~coef:accum_coef.(env.rk) ~tend ~accum;
-        if final then
-          (match on_edges with
-          | None ->
-              Array.blit accum.Fields.u 0 env.state.Fields.u 0 m.Mesh.n_edges
-          | Some idx ->
-              Array.iter
-                (fun e -> env.state.Fields.u.(e) <- accum.Fields.u.(e))
-                idx)
+        Operators.accumulate ~on_cells:Span.empty ?on_edges ?publish m
+          ~coef:accum_coef.(env.rk) ~tend ~accum
   (* mpas_reconstruct (final phase only) *)
   | "A4" -> (
       match env.recon with
@@ -190,7 +175,7 @@ let compile_single env ~final ~part (inst : Pattern.instance) =
   let on_edges = Option.map (part_range ~n:m.Mesh.n_edges) part in
   compile_body env ~final ~on ~on_cells ~on_edges inst
 
-(* Explicit index subsets instead of part fractions: the distributed
+(* Explicit span sets instead of part fractions: the distributed
    overlap driver compiles each instance once per rank per
    interior/boundary region. *)
 let compile_on env ~final ~on_cells ~on_edges ~on_vertices
@@ -269,19 +254,19 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
       match first.Pattern.id with
       | "A1" ->
           let x4, rest = eat "X4" rest0 in
-          let lo, hi = bounds m.Mesh.n_cells part in
+          let on = part_span m.Mesh.n_cells part in
           Some
             ( (fun () ->
                 Operators.tend_h_chain m ~h_edge:diag.Fields.h_edge
                   ~u:provis.Fields.u ~out:tend.Fields.tend_h ~x4:(x4_arg x4)
-                  ~lo ~hi),
+                  ~on),
               rest )
       | "B1" ->
           let c1, rest = eat "C1" rest0 in
           let x1, rest = eat "X1" rest in
           let x2, rest = eat "X2" rest in
           let x5, rest = eat "X5" rest in
-          let lo, hi = bounds m.Mesh.n_edges part in
+          let on = part_span m.Mesh.n_edges part in
           let dissip =
             if c1 && cfg.Config.visc2 <> 0. then
               Some
@@ -291,7 +276,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
             else None
           in
           let drag = if x1 then cfg.Config.bottom_drag else 0. in
-          let boundary = x2 && Array.exists Fun.id m.Mesh.boundary_edge in
+          let boundary = x2 && m.Mesh.has_boundary in
           Some
             ( (fun () ->
                 Operators.tend_u_chain m ~pv_average:cfg.Config.pv_average
@@ -299,7 +284,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
                   ~ke:diag.Fields.ke ~h_edge:diag.Fields.h_edge
                   ~u:provis.Fields.u ~pv_edge:diag.Fields.pv_edge
                   ~out:tend.Fields.tend_u ~dissip ~drag ~boundary
-                  ~x5:(x5_arg x5) ~lo ~hi),
+                  ~x5:(x5_arg x5) ~on),
               rest )
       | "H2" | "A2" ->
           let h2 = first.Pattern.id = "H2" in
@@ -315,7 +300,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           in
           let ke_out = if a2 then Some diag.Fields.ke else None in
           let div_out = if a3 then Some diag.Fields.divergence else None in
-          let lo, hi = bounds m.Mesh.n_cells part in
+          let on = part_span m.Mesh.n_cells part in
           if
             (* a lone H2 at second-order advection is a no-op; don't
                compile it to an empty sweep *)
@@ -327,7 +312,7 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
               ( (fun () ->
                   Operators.diag_cells_chain m ~h:src.Fields.h
                     ~u:src.Fields.u ~d2 ~ke_out ~div_out ~x4:(x4_arg x4)
-                    ~tend_h:tend.Fields.tend_h ~lo ~hi),
+                    ~tend_h:tend.Fields.tend_h ~on),
                 rest )
       | "B2" ->
           let g, rest = eat "G" rest0 in
@@ -335,24 +320,24 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
           let g_arg =
             if g then Some (src.Fields.u, diag.Fields.v_tangential) else None
           in
-          let lo, hi = bounds m.Mesh.n_edges part in
+          let on = part_span m.Mesh.n_edges part in
           Some
             ( (fun () ->
                 Operators.diag_edges_chain m ~order:cfg.Config.h_adv_order
                   ~h:src.Fields.h ~d2fdx2_cell:diag.Fields.d2fdx2_cell
                   ~h_edge_out:diag.Fields.h_edge ~g:g_arg ~x5:(x5_arg x5)
-                  ~tend_u:tend.Fields.tend_u ~lo ~hi),
+                  ~tend_u:tend.Fields.tend_u ~on),
               rest )
       | "D1" ->
           let c2, rest = eat "C2" rest0 in
           let d2, rest = if c2 then eat "D2" rest else (false, rest) in
           let hv_out = if c2 then Some diag.Fields.h_vertex else None in
           let pv_out = if d2 then Some diag.Fields.pv_vertex else None in
-          let lo, hi = bounds m.Mesh.n_vertices part in
+          let on = part_span m.Mesh.n_vertices part in
           Some
             ( (fun () ->
                 Operators.vortex_chain m ~u:src.Fields.u ~h:src.Fields.h
-                  ~vort_out:diag.Fields.vorticity ~hv_out ~pv_out ~lo ~hi),
+                  ~vort_out:diag.Fields.vorticity ~hv_out ~pv_out ~on),
               rest )
       | "G" | "H1" -> (
           let g_arg, rest =
@@ -377,24 +362,26 @@ let compile_segment env ~final ~part (insts : Pattern.instance list) =
                       diag.Fields.pv_edge )
                 else None
               in
-              let lo, hi = bounds m.Mesh.n_edges part in
+              let on = part_span m.Mesh.n_edges part in
               Some
                 ( (fun () ->
                     Operators.pv_edge_chain m ~g ~pv_cell:diag.Fields.pv_cell
                       ~pv_vertex:diag.Fields.pv_vertex
                       ~gn_out:diag.Fields.grad_pv_n
-                      ~gt_out:diag.Fields.grad_pv_t ~f:f_arg ~lo ~hi),
+                      ~gt_out:diag.Fields.grad_pv_t ~f:f_arg ~on),
                   rest ))
       | "A4" -> (
           match env.recon with
           | None -> invalid_arg "Mpas_runtime.Bind: A4 compiled without recon"
           | Some r ->
               let x6, rest = eat "X6" rest0 in
-              let lo, hi = bounds m.Mesh.n_cells part in
+              let on = part_span m.Mesh.n_cells part in
+              let run =
+                if x6 then Reconstruct.run else Reconstruct.run_cartesian
+              in
               Some
                 ( (fun () ->
-                    Reconstruct.run_range r m ~u:env.state.Fields.u
-                      ~out:work.Timestep.recon ~x6 ~lo ~hi),
+                    run ~on r m ~u:env.state.Fields.u ~out:work.Timestep.recon),
                   rest ))
       | _ -> None)
 

@@ -1,4 +1,5 @@
 open Mpas_mesh
+open Mpas_par
 open Mpas_swe
 
 (** The kernel binding table: every pattern instance of
@@ -7,9 +8,9 @@ open Mpas_swe
 
     Bodies run {e without} a pool: a task executes entirely on the
     worker lane that popped it.  Full-range tasks walk the whole output
-    range, part-range tasks the part's index set ([?on]) or, for fused
-    chain heads, its contiguous tile — all bit-identical to the
-    sequential [Timestep.refactored] engine. *)
+    range, part-range tasks the part's span set (one span; no index
+    array is built), fused chain heads included — all bit-identical to
+    the sequential [Timestep.refactored] engine. *)
 
 (** Everything a step's closures capture.  [rk] is mutated by the
     engine between substeps; closures read it at call time, so one
@@ -25,10 +26,10 @@ type env = {
   mutable rk : int;
 }
 
-(** The index range a part fraction covers in a space of [n] indices:
-    [round (f0 n), round (f1 n)) — complementary fractions tile the
-    space exactly. *)
-val part_range : n:int -> float * float -> int array
+(** The span a part fraction covers in a space of [n] indices:
+    [\[round (f0 n), round (f1 n))] as a set with one span (or none) —
+    complementary fractions tile the space exactly. *)
+val part_range : n:int -> float * float -> Span.t
 
 (** Pattern kernels and Timestep kernels mirror each other; the runtime
     reports through [Timestep]'s instrument hook. *)
@@ -38,7 +39,7 @@ val timestep_kernel : Mpas_patterns.Pattern.kernel -> Timestep.kernel
 val space_size : Mesh.t -> Mpas_patterns.Pattern.point -> int
 
 (** [compile_on env ~final ~on_cells ~on_edges ~on_vertices inst]
-    compiles one instance over explicit index subsets instead of part
+    compiles one instance over explicit span sets instead of part
     fractions — the form the distributed overlap driver uses to run
     each instance once per rank per interior/boundary region.  An
     instance with a single iteration space takes the subset of that
@@ -46,9 +47,9 @@ val space_size : Mesh.t -> Mpas_patterns.Pattern.point -> int
 val compile_on :
   env ->
   final:bool ->
-  on_cells:int array ->
-  on_edges:int array ->
-  on_vertices:int array ->
+  on_cells:Span.t ->
+  on_edges:Span.t ->
+  on_vertices:Span.t ->
   Mpas_patterns.Pattern.instance ->
   unit ->
   unit

@@ -1,48 +1,42 @@
 open Mpas_mesh
 open Mpas_par
 
-let pfor pool lo hi f =
-  match pool with
-  | None ->
-      for i = lo to hi - 1 do
-        f i
-      done
-  | Some p -> Pool.parallel_for p ~lo ~hi f
+(* Chunk runner of every kernel: [body ~lo ~hi] gets index runs that
+   cover the full range [0, n) or, with [on], the span set — span by
+   span without a pool, in chunks with one.  Every gather stencil
+   writes its per-element work once, as a top-level [[@inline always]]
+   body [<name>_at] taking the CSR tables and geometry arrays it reads
+   as arguments; a kernel binds those arrays once and drives the body
+   from the single loop header [for i = lo to hi - 1] inside [body], so
+   both walks compile to the same straight loop with no call per
+   element.  The fused chains below run the same bodies under the same
+   runner.  A body may not define a local closure, which would block
+   the inlining. *)
+let range ?chunk pool ?on n body =
+  match (on, pool) with
+  | None, None -> if n > 0 then body ~lo:0 ~hi:n
+  | None, Some p -> Pool.parallel_for_chunks ?chunk p ~lo:0 ~hi:n body
+  | Some s, _ -> Span.runs ?chunk pool s body
 
-(* Iterate the full range [0, n) or, when [on] is given, exactly the
-   listed indices — the rank-local compute sets of the distributed
-   driver. *)
-let iter pool ?on n f =
-  match on with
-  | None -> pfor pool 0 n f
-  | Some idx -> pfor pool 0 (Array.length idx) (fun k -> f idx.(k))
-
-(* Chunk runner of the CSR kernels: [body ~lo ~hi] walks positions
-   [lo, hi) of the full range [0, n) or, with [on], of the index set.
-   Every gather stencil writes its per-element work once, as a
-   top-level [[@inline always]] body [<name>_at] taking the CSR tables
-   and geometry arrays it reads as arguments.  A kernel binds those
-   arrays once, wraps the body in a local [at] that stores the result,
-   and drives [at] from two explicit loop headers — one over indices,
-   one over index-set positions — so both walks compile to straight
-   loops with no call per element.  The fused chains below call the
-   same bodies from a plain [lo, hi) loop.  Neither a body nor [at] may
-   define a local closure, which would block the inlining. *)
-let range pool ?on n body =
-  let hi = match on with None -> n | Some idx -> Array.length idx in
-  match pool with
-  | None -> if hi > 0 then body ~lo:0 ~hi
-  | Some p -> Pool.parallel_for_chunks p ~lo:0 ~hi body
-
-(* Cheap point-wise loops (the X3/X4 pattern instances) are dominated by
+(* Cheap point-wise loops (the X-pattern instances) are dominated by
    scheduling overhead at the default granularity; hand out two big
    chunks per domain instead. *)
-let iter_pointwise pool ?on n f =
-  match (pool, on) with
-  | Some p, None ->
-      Pool.parallel_for ~chunk:(Int.max 1 (n / (2 * Pool.size p))) p ~lo:0
-        ~hi:n f
-  | _ -> iter pool ?on n f
+let pointwise pool ?on n body =
+  let chunk =
+    match pool with
+    | None -> None
+    | Some p ->
+        let len = match on with None -> n | Some s -> Span.cardinal s in
+        Some (Int.max 1 (len / (2 * Pool.size p)))
+  in
+  range ?chunk pool ?on n body
+
+(* Point-wise kernels whose body is a per-element closure. *)
+let iter pool ?on n f =
+  pointwise pool ?on n (fun ~lo ~hi ->
+      for i = lo to hi - 1 do
+        f i
+      done)
 
 (* The CSR kernels index caller-provided fields with [Array.unsafe_get];
    the mesh side is validated once by [Mesh.csr], the field side here. *)
@@ -58,19 +52,14 @@ let check_lens kernel n fields =
 let check_opt kernel name a n =
   Option.iter (fun a -> check_len kernel name a n) a
 
-(* The index-set walk writes [out.(i)] unchecked for every listed [i],
-   so the set is checked once at entry, before any write. *)
+(* A span set walk writes [out.(i)] unchecked for every index in the
+   set, so the set is confined to the output space at entry, before any
+   write.  A span set is sorted and non-negative by construction, so
+   the check is one comparison. *)
 let check_on kernel on n =
   match on with
-  | None -> ()
-  | Some idx ->
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= n then
-            invalid_arg
-              (Printf.sprintf "Operators.%s: index %d outside [0, %d)" kernel
-                 i n))
-        idx
+  | Some s when Span.bound s > n -> Span.within ("Operators." ^ kernel) s n
+  | _ -> ()
 
 (* --- compute_solve_diagnostics ---------------------------------------- *)
 
@@ -99,14 +88,11 @@ let d2fdx2 ?pool ?on (m : Mesh.t) ~h ~out =
   and cell_neighbors = csr.cell_neighbors in
   let dv_edge = m.dv_edge and dc_edge = m.dc_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           (d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge dc_edge
              area_cell h c)
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let d2fdx2_scatter (m : Mesh.t) ~h ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -139,13 +125,10 @@ let h_edge ?pool ?on (m : Mesh.t) ~order ~h ~d2fdx2_cell ~out =
   check_on "h_edge" on m.n_edges;
   let edge_cells = csr.edge_cells and dc_edge = m.dc_edge in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out e
           (h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let[@inline always] kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge
     area_cell u c =
@@ -170,14 +153,11 @@ let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
   let cell_offsets = csr.cell_offsets and cell_edges = csr.cell_edges in
   let dc_edge = m.dc_edge and dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           (kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge area_cell u
              c)
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -212,14 +192,11 @@ let divergence ?pool ?on (m : Mesh.t) ~u ~out =
   and cell_edge_signs = csr.cell_edge_signs in
   let dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           (divergence_at cell_offsets cell_edges cell_edge_signs dv_edge
              area_cell u c)
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let divergence_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -252,14 +229,11 @@ let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
   and vertex_edge_signs = csr.vertex_edge_signs in
   let dc_edge = m.dc_edge and area_triangle = m.area_triangle in
   range pool ?on m.n_vertices (fun ~lo ~hi ->
-      let[@inline always] at v =
+      for v = lo to hi - 1 do
         Array.unsafe_set out v
           (vorticity_at vertex_edges vertex_edge_signs dc_edge area_triangle u
              v)
-      in
-      match on with
-      | None -> for v = lo to hi - 1 do at v done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let vorticity_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_vertices 0.;
@@ -297,15 +271,13 @@ let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
   and vertex_kite_areas = csr.vertex_kite_areas in
   let area_triangle = m.area_triangle in
   range pool ?on m.n_vertices (fun ~lo ~hi ->
-      let[@inline always] at v =
+      for v = lo to hi - 1 do
         Array.unsafe_set out v
           (h_vertex_at vertex_cells vertex_kite_areas area_triangle h v)
-      in
-      match on with
-      | None -> for v = lo to hi - 1 do at v done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let pv_vertex ?pool ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
+  check_on "pv_vertex" on m.n_vertices;
   iter pool ?on m.n_vertices (fun v ->
       out.(v) <- (m.f_vertex.(v) +. vorticity.(v)) /. h_vertex.(v))
 
@@ -341,14 +313,11 @@ let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
   and vertex_kite_areas = csr.vertex_kite_areas in
   let area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           (pv_cell_at cell_offsets cell_vertices vertex_cells vertex_kite_areas
              area_cell pv_vertex c)
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -382,13 +351,10 @@ let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
   and eoe_edges = csr.eoe_edges
   and eoe_weights = csr.eoe_weights in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out e
           (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 (* The two edge-gradient shapes: the difference of a cell field across
    the edge over [dc], and of a vertex field along it over [dv].  H1 is
@@ -412,13 +378,10 @@ let grad_pv ?pool ?on (m : Mesh.t) ~pv_cell ~pv_vertex ~out_n ~out_t =
   let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
   let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out_n e (grad_n_at edge_cells dc_edge pv_cell e);
         Array.unsafe_set out_t e (grad_t_at edge_vertices dv_edge pv_vertex e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 (* F's point-wise operands arrive as values so the PV edge chain can
    pass the gradients and tangential velocity it just computed. *)
@@ -442,7 +405,7 @@ let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
   check_on "pv_edge" on m.n_edges;
   let edge_vertices = csr.edge_vertices in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out e
           (pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt
              ~u:(Array.unsafe_get u e)
@@ -450,10 +413,7 @@ let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
              ~v:(Array.unsafe_get v_tangential e)
              ~grad_t:(Array.unsafe_get grad_pv_t e)
              e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 (* --- compute_tend ------------------------------------------------------ *)
 
@@ -481,14 +441,11 @@ let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
   and cell_edge_signs = csr.cell_edge_signs in
   let dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           (tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge area_cell
              h_edge u c)
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -552,14 +509,11 @@ let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
   and edge_cells = csr.edge_cells in
   let dc_edge = m.dc_edge in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out e
           (tend_u_at pv_average eoe_offsets eoe_edges eoe_weights edge_cells
              dc_edge gravity h b ke h_edge u pv_edge e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 (* The vector Laplacian of the velocity at edges,
    [grad(divergence) - curl(vorticity)]: C1, the biharmonic term and
@@ -579,42 +533,74 @@ let dissipation ?pool ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
     let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
     let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
     range pool ?on m.n_edges (fun ~lo ~hi ->
-        let[@inline always] at e =
+        for e = lo to hi - 1 do
           Array.unsafe_set tend_u e
             (Array.unsafe_get tend_u e
             +. visc2
                *. laplacian_at edge_cells edge_vertices dc_edge dv_edge
                     divergence vorticity e)
-        in
-        match on with
-        | None -> for e = lo to hi - 1 do at e done
-        | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+        done)
   end
 
 let local_forcing ?pool ?on (m : Mesh.t) ~drag ~u ~tend_u =
-  if drag <> 0. then
-    iter pool ?on m.n_edges (fun e -> tend_u.(e) <- tend_u.(e) -. (drag *. u.(e)))
+  if drag <> 0. then begin
+    check_on "local_forcing" on m.n_edges;
+    iter pool ?on m.n_edges (fun e ->
+        tend_u.(e) <- tend_u.(e) -. (drag *. u.(e)))
+  end
 
 (* --- remaining kernels -------------------------------------------------- *)
 
 let enforce_boundary_edge ?pool ?on (m : Mesh.t) ~tend_u =
-  iter pool ?on m.n_edges (fun e ->
-      if m.boundary_edge.(e) then tend_u.(e) <- 0.)
+  if m.has_boundary then begin
+    check_on "enforce_boundary_edge" on m.n_edges;
+    iter pool ?on m.n_edges (fun e ->
+        if m.boundary_edge.(e) then tend_u.(e) <- 0.)
+  end
 
 let next_substep_state ?pool ?on_cells ?on_edges (m : Mesh.t) ~coef
     ~(base : Fields.state) ~(tend : Fields.tendencies)
     ~(provis : Fields.state) =
-  iter_pointwise pool ?on:on_cells m.n_cells (fun c ->
-      provis.h.(c) <- base.h.(c) +. (coef *. tend.tend_h.(c)));
-  iter_pointwise pool ?on:on_edges m.n_edges (fun e ->
-      provis.u.(e) <- base.u.(e) +. (coef *. tend.tend_u.(e)))
+  check_on "next_substep_state" on_cells m.n_cells;
+  check_on "next_substep_state" on_edges m.n_edges;
+  let bh = base.h and th = tend.tend_h and ph = provis.h in
+  pointwise pool ?on:on_cells m.n_cells (fun ~lo ~hi ->
+      for c = lo to hi - 1 do
+        ph.(c) <- bh.(c) +. (coef *. th.(c))
+      done);
+  let bu = base.u and tu = tend.tend_u and pu = provis.u in
+  pointwise pool ?on:on_edges m.n_edges (fun ~lo ~hi ->
+      for e = lo to hi - 1 do
+        pu.(e) <- bu.(e) +. (coef *. tu.(e))
+      done)
 
-let accumulate ?pool ?on_cells ?on_edges (m : Mesh.t) ~coef
+(* [accum += coef * t] over one space; with [publish] the sum is stored
+   into the state row as well (the final substep). *)
+let accumulate_row pool on n ~coef ~tend ~accum ~publish =
+  match publish with
+  | None ->
+      pointwise pool ?on n (fun ~lo ~hi ->
+          for i = lo to hi - 1 do
+            accum.(i) <- accum.(i) +. (coef *. tend.(i))
+          done)
+  | Some state ->
+      pointwise pool ?on n (fun ~lo ~hi ->
+          for i = lo to hi - 1 do
+            let a = accum.(i) +. (coef *. tend.(i)) in
+            accum.(i) <- a;
+            state.(i) <- a
+          done)
+
+let accumulate ?pool ?on_cells ?on_edges ?publish (m : Mesh.t) ~coef
     ~(tend : Fields.tendencies) ~(accum : Fields.state) =
-  iter_pointwise pool ?on:on_cells m.n_cells (fun c ->
-      accum.h.(c) <- accum.h.(c) +. (coef *. tend.tend_h.(c)));
-  iter_pointwise pool ?on:on_edges m.n_edges (fun e ->
-      accum.u.(e) <- accum.u.(e) +. (coef *. tend.tend_u.(e)))
+  check_on "accumulate" on_cells m.n_cells;
+  check_on "accumulate" on_edges m.n_edges;
+  let publish_h = Option.map (fun (p : Fields.state) -> p.h) publish
+  and publish_u = Option.map (fun (p : Fields.state) -> p.u) publish in
+  accumulate_row pool on_cells m.n_cells ~coef ~tend:tend.tend_h
+    ~accum:accum.h ~publish:publish_h;
+  accumulate_row pool on_edges m.n_edges ~coef ~tend:tend.tend_u
+    ~accum:accum.u ~publish:publish_u
 
 (* --- extensions beyond the paper's Table I ------------------------------ *)
 
@@ -635,12 +621,9 @@ let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
   check_on "tracer_edge" on m.n_edges;
   let edge_cells = csr.edge_cells in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out e (tracer_edge_at scheme edge_cells tracer u e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let[@inline always] tend_tracer_at cell_offsets cell_edges cell_edge_signs
     dv_edge area_cell h_edge tracer_edge u c =
@@ -668,14 +651,11 @@ let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   and cell_edge_signs = csr.cell_edge_signs in
   let dv_edge = m.dv_edge and area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           (tend_tracer_at cell_offsets cell_edges cell_edge_signs dv_edge
              area_cell h_edge tracer_edge u c)
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let tend_tracer_scatter (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   Array.fill out 0 m.n_cells 0.;
@@ -695,14 +675,11 @@ let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
   let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
   let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
   range pool ?on m.n_edges (fun ~lo ~hi ->
-      let[@inline always] at e =
+      for e = lo to hi - 1 do
         Array.unsafe_set out e
           (laplacian_at edge_cells edge_vertices dc_edge dv_edge divergence
              vorticity e)
-      in
-      match on with
-      | None -> for e = lo to hi - 1 do at e done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
   if visc4 <> 0. then begin
@@ -714,36 +691,29 @@ let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
     let edge_cells = csr.edge_cells and edge_vertices = csr.edge_vertices in
     let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
     range pool ?on m.n_edges (fun ~lo ~hi ->
-        let[@inline always] at e =
+        for e = lo to hi - 1 do
           Array.unsafe_set tend_u e
             (Array.unsafe_get tend_u e
             -. visc4
                *. laplacian_at edge_cells edge_vertices dc_edge dv_edge div_lap
                     vort_lap e)
-        in
-        match on with
-        | None -> for e = lo to hi - 1 do at e done
-        | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+        done)
   end
 
 (* --- fused chains ------------------------------------------------------- *)
 
 (* Each chain runs a legal kernel chain, as packed by the runtime's
-   spec planner, over one contiguous tile [lo, hi) of its index space.
-   Per element it calls the member bodies above in chain order,
-   carrying a value in a register where a member point-reads what the
-   previous member just wrote.  Every member output array is still
-   written, so the chain's union footprint stays observable, and the
-   result is bitwise that of the member kernels run back to back over
-   the tile: the bodies are the very ones the kernels run.  The chains
-   index unchecked, so the tile and every array a selected member
+   spec planner, over a span set of its index space: a whole rank, a
+   runtime tile (one span) or the full range.  The loop over spans sits
+   inside the chain, under the kernels' own runner, so one call covers
+   the set.  Per element it calls the member bodies above in chain
+   order, carrying a value in a register where a member point-reads
+   what the previous member just wrote.  Every member output array is
+   still written, so the chain's union footprint stays observable, and
+   the result is bitwise that of the member kernels run back to back
+   over the set: the bodies are the very ones the kernels run.  The
+   chains index unchecked, so the set and every array a selected member
    touches are checked at entry, before any write. *)
-
-let check_tile kernel ~lo ~hi n =
-  if lo < 0 || lo > hi || hi > n then
-    invalid_arg
-      (Printf.sprintf "Operators.%s: tile [%d, %d) outside [0, %d)" kernel lo
-         hi n)
 
 (* [x = Some (coef, accum, publish)]: the accumulative update (X4/X5)
    riding a chain. *)
@@ -761,9 +731,9 @@ let[@inline always] accumulate_at accum publish coef t i =
   Array.unsafe_set accum i a;
   match publish with None -> () | Some state -> Array.unsafe_set state i a
 
-let tend_h_chain (m : Mesh.t) ~h_edge ~u ~out ~x4 ~lo ~hi =
+let tend_h_chain ?pool (m : Mesh.t) ~h_edge ~u ~out ~x4 ~on =
   let csr : Mesh.csr = Mesh.csr m in
-  check_tile "tend_h_chain" ~lo ~hi m.n_cells;
+  check_on "tend_h_chain" (Some on) m.n_cells;
   check_lens "tend_h_chain" m.n_edges [ ("h_edge", h_edge); ("u", u) ];
   check_len "tend_h_chain" "out" out m.n_cells;
   check_accum "tend_h_chain" x4 m.n_cells;
@@ -771,21 +741,22 @@ let tend_h_chain (m : Mesh.t) ~h_edge ~u ~out ~x4 ~lo ~hi =
   and cell_edges = csr.cell_edges
   and cell_edge_signs = csr.cell_edge_signs in
   let dv_edge = m.dv_edge and area_cell = m.area_cell in
-  for c = lo to hi - 1 do
-    let t =
-      tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge area_cell
-        h_edge u c
-    in
-    Array.unsafe_set out c t;
-    match x4 with
-    | None -> ()
-    | Some (coef, accum, publish) -> accumulate_at accum publish coef t c
-  done
+  range pool ~on m.n_cells (fun ~lo ~hi ->
+      for c = lo to hi - 1 do
+        let t =
+          tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge area_cell
+            h_edge u c
+        in
+        Array.unsafe_set out c t;
+        match x4 with
+        | None -> ()
+        | Some (coef, accum, publish) -> accumulate_at accum publish coef t c
+      done)
 
-let tend_u_chain (m : Mesh.t) ~pv_average ~gravity ~h ~b ~ke ~h_edge ~u
-    ~pv_edge ~out ~dissip ~drag ~boundary ~x5 ~lo ~hi =
+let tend_u_chain ?pool (m : Mesh.t) ~pv_average ~gravity ~h ~b ~ke ~h_edge ~u
+    ~pv_edge ~out ~dissip ~drag ~boundary ~x5 ~on =
   let csr : Mesh.csr = Mesh.csr m in
-  check_tile "tend_u_chain" ~lo ~hi m.n_edges;
+  check_on "tend_u_chain" (Some on) m.n_edges;
   check_lens "tend_u_chain" m.n_cells [ ("h", h); ("b", b); ("ke", ke) ];
   check_lens "tend_u_chain" m.n_edges
     [ ("h_edge", h_edge); ("u", u); ("pv_edge", pv_edge); ("out", out) ];
@@ -802,32 +773,33 @@ let tend_u_chain (m : Mesh.t) ~pv_average ~gravity ~h ~b ~ke ~h_edge ~u
   and edge_vertices = csr.edge_vertices in
   let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
   let boundary_edge = m.boundary_edge in
-  for e = lo to hi - 1 do
-    let t =
-      ref
-        (tend_u_at pv_average eoe_offsets eoe_edges eoe_weights edge_cells
-           dc_edge gravity h b ke h_edge u pv_edge e)
-    in
-    (match dissip with
-    | None -> ()
-    | Some (visc2, divergence, vorticity) ->
-        t :=
-          !t
-          +. visc2
-             *. laplacian_at edge_cells edge_vertices dc_edge dv_edge
-                  divergence vorticity e);
-    if drag <> 0. then t := !t -. (drag *. Array.unsafe_get u e);
-    if boundary && Array.unsafe_get boundary_edge e then t := 0.;
-    Array.unsafe_set out e !t;
-    match x5 with
-    | None -> ()
-    | Some (coef, accum, publish) -> accumulate_at accum publish coef !t e
-  done
+  range pool ~on m.n_edges (fun ~lo ~hi ->
+      for e = lo to hi - 1 do
+        let t =
+          ref
+            (tend_u_at pv_average eoe_offsets eoe_edges eoe_weights edge_cells
+               dc_edge gravity h b ke h_edge u pv_edge e)
+        in
+        (match dissip with
+        | None -> ()
+        | Some (visc2, divergence, vorticity) ->
+            t :=
+              !t
+              +. visc2
+                 *. laplacian_at edge_cells edge_vertices dc_edge dv_edge
+                      divergence vorticity e);
+        if drag <> 0. then t := !t -. (drag *. Array.unsafe_get u e);
+        if boundary && Array.unsafe_get boundary_edge e then t := 0.;
+        Array.unsafe_set out e !t;
+        match x5 with
+        | None -> ()
+        | Some (coef, accum, publish) -> accumulate_at accum publish coef !t e
+      done)
 
-let diag_cells_chain (m : Mesh.t) ~h ~u ~d2 ~ke_out ~div_out ~x4 ~tend_h ~lo
-    ~hi =
+let diag_cells_chain ?pool (m : Mesh.t) ~h ~u ~d2 ~ke_out ~div_out ~x4 ~tend_h
+    ~on =
   let csr : Mesh.csr = Mesh.csr m in
-  check_tile "diag_cells_chain" ~lo ~hi m.n_cells;
+  check_on "diag_cells_chain" (Some on) m.n_cells;
   check_len "diag_cells_chain" "h" h m.n_cells;
   check_len "diag_cells_chain" "u" u m.n_edges;
   check_opt "diag_cells_chain" "d2" d2 m.n_cells;
@@ -841,36 +813,37 @@ let diag_cells_chain (m : Mesh.t) ~h ~u ~d2 ~ke_out ~div_out ~x4 ~tend_h ~lo
   and cell_edge_signs = csr.cell_edge_signs
   and cell_neighbors = csr.cell_neighbors in
   let dc_edge = m.dc_edge and dv_edge = m.dv_edge and area_cell = m.area_cell in
-  for c = lo to hi - 1 do
-    (match d2 with
-    | None -> ()
-    | Some d2 ->
-        Array.unsafe_set d2 c
-          (d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge dc_edge
-             area_cell h c));
-    (match ke_out with
-    | None -> ()
-    | Some ke_out ->
-        Array.unsafe_set ke_out c
-          (kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge area_cell
-             u c));
-    (match div_out with
-    | None -> ()
-    | Some div_out ->
-        Array.unsafe_set div_out c
-          (divergence_at cell_offsets cell_edges cell_edge_signs dv_edge
-             area_cell u c));
-    match x4 with
-    | None -> ()
-    | Some (coef, accum, publish) ->
-        accumulate_at accum publish coef (Array.unsafe_get tend_h c) c
-  done
+  range pool ~on m.n_cells (fun ~lo ~hi ->
+      for c = lo to hi - 1 do
+        (match d2 with
+        | None -> ()
+        | Some d2 ->
+            Array.unsafe_set d2 c
+              (d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge dc_edge
+                 area_cell h c));
+        (match ke_out with
+        | None -> ()
+        | Some ke_out ->
+            Array.unsafe_set ke_out c
+              (kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge
+                 area_cell u c));
+        (match div_out with
+        | None -> ()
+        | Some div_out ->
+            Array.unsafe_set div_out c
+              (divergence_at cell_offsets cell_edges cell_edge_signs dv_edge
+                 area_cell u c));
+        match x4 with
+        | None -> ()
+        | Some (coef, accum, publish) ->
+            accumulate_at accum publish coef (Array.unsafe_get tend_h c) c
+      done)
 
-let diag_edges_chain (m : Mesh.t) ~order ~h ~d2fdx2_cell ~h_edge_out ~g ~x5
-    ~tend_u ~lo ~hi =
+let diag_edges_chain ?pool (m : Mesh.t) ~order ~h ~d2fdx2_cell ~h_edge_out ~g
+    ~x5 ~tend_u ~on =
   let csr : Mesh.csr = Mesh.csr m in
   let fourth = (order : Config.h_adv_order) = Config.Fourth in
-  check_tile "diag_edges_chain" ~lo ~hi m.n_edges;
+  check_on "diag_edges_chain" (Some on) m.n_edges;
   check_len "diag_edges_chain" "h" h m.n_cells;
   if fourth then
     check_len "diag_edges_chain" "d2fdx2_cell" d2fdx2_cell m.n_cells;
@@ -887,23 +860,24 @@ let diag_edges_chain (m : Mesh.t) ~order ~h ~d2fdx2_cell ~h_edge_out ~g ~x5
   and eoe_edges = csr.eoe_edges
   and eoe_weights = csr.eoe_weights in
   let dc_edge = m.dc_edge in
-  for e = lo to hi - 1 do
-    Array.unsafe_set h_edge_out e
-      (h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e);
-    (match g with
-    | None -> ()
-    | Some (u, v_out) ->
-        Array.unsafe_set v_out e
-          (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e));
-    match x5 with
-    | None -> ()
-    | Some (coef, accum, publish) ->
-        accumulate_at accum publish coef (Array.unsafe_get tend_u e) e
-  done
+  range pool ~on m.n_edges (fun ~lo ~hi ->
+      for e = lo to hi - 1 do
+        Array.unsafe_set h_edge_out e
+          (h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e);
+        (match g with
+        | None -> ()
+        | Some (u, v_out) ->
+            Array.unsafe_set v_out e
+              (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e));
+        match x5 with
+        | None -> ()
+        | Some (coef, accum, publish) ->
+            accumulate_at accum publish coef (Array.unsafe_get tend_u e) e
+      done)
 
-let vortex_chain (m : Mesh.t) ~u ~h ~vort_out ~hv_out ~pv_out ~lo ~hi =
+let vortex_chain ?pool (m : Mesh.t) ~u ~h ~vort_out ~hv_out ~pv_out ~on =
   let csr : Mesh.csr = Mesh.csr m in
-  check_tile "vortex_chain" ~lo ~hi m.n_vertices;
+  check_on "vortex_chain" (Some on) m.n_vertices;
   check_len "vortex_chain" "u" u m.n_edges;
   check_len "vortex_chain" "h" h m.n_cells;
   check_len "vortex_chain" "vort_out" vort_out m.n_vertices;
@@ -918,27 +892,30 @@ let vortex_chain (m : Mesh.t) ~u ~h ~vort_out ~hv_out ~pv_out ~lo ~hi =
   let dc_edge = m.dc_edge
   and area_triangle = m.area_triangle
   and f_vertex = m.f_vertex in
-  for v = lo to hi - 1 do
-    let vort =
-      vorticity_at vertex_edges vertex_edge_signs dc_edge area_triangle u v
-    in
-    Array.unsafe_set vort_out v vort;
-    match hv_out with
-    | None -> ()
-    | Some hv_out -> (
-        let hv = h_vertex_at vertex_cells vertex_kite_areas area_triangle h v in
-        Array.unsafe_set hv_out v hv;
-        match pv_out with
+  range pool ~on m.n_vertices (fun ~lo ~hi ->
+      for v = lo to hi - 1 do
+        let vort =
+          vorticity_at vertex_edges vertex_edge_signs dc_edge area_triangle u v
+        in
+        Array.unsafe_set vort_out v vort;
+        match hv_out with
         | None -> ()
-        | Some pv_out ->
-            Array.unsafe_set pv_out v
-              ((Array.unsafe_get f_vertex v +. vort) /. hv))
-  done
+        | Some hv_out -> (
+            let hv =
+              h_vertex_at vertex_cells vertex_kite_areas area_triangle h v
+            in
+            Array.unsafe_set hv_out v hv;
+            match pv_out with
+            | None -> ()
+            | Some pv_out ->
+                Array.unsafe_set pv_out v
+                  ((Array.unsafe_get f_vertex v +. vort) /. hv))
+      done)
 
-let pv_edge_chain (m : Mesh.t) ~g ~pv_cell ~pv_vertex ~gn_out ~gt_out ~f ~lo
-    ~hi =
+let pv_edge_chain ?pool (m : Mesh.t) ~g ~pv_cell ~pv_vertex ~gn_out ~gt_out ~f
+    ~on =
   let csr : Mesh.csr = Mesh.csr m in
-  check_tile "pv_edge_chain" ~lo ~hi m.n_edges;
+  check_on "pv_edge_chain" (Some on) m.n_edges;
   check_len "pv_edge_chain" "pv_cell" pv_cell m.n_cells;
   check_len "pv_edge_chain" "pv_vertex" pv_vertex m.n_vertices;
   check_lens "pv_edge_chain" m.n_edges
@@ -958,37 +935,39 @@ let pv_edge_chain (m : Mesh.t) ~g ~pv_cell ~pv_vertex ~gn_out ~gt_out ~f ~lo
   and eoe_edges = csr.eoe_edges
   and eoe_weights = csr.eoe_weights in
   let dc_edge = m.dc_edge and dv_edge = m.dv_edge in
-  for e = lo to hi - 1 do
-    (match g with
-    | None -> ()
-    | Some (u, v_out) ->
-        Array.unsafe_set v_out e
-          (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e));
-    let gn = grad_n_at edge_cells dc_edge pv_cell e
-    and gt = grad_t_at edge_vertices dv_edge pv_vertex e in
-    Array.unsafe_set gn_out e gn;
-    Array.unsafe_set gt_out e gt;
-    match f with
-    | None -> ()
-    | Some (apvm_factor, dt, u, v_tangential, out) ->
-        Array.unsafe_set out e
-          (pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt
-             ~u:(Array.unsafe_get u e) ~grad_n:gn
-             ~v:(Array.unsafe_get v_tangential e)
-             ~grad_t:gt e)
-  done
+  range pool ~on m.n_edges (fun ~lo ~hi ->
+      for e = lo to hi - 1 do
+        (match g with
+        | None -> ()
+        | Some (u, v_out) ->
+            Array.unsafe_set v_out e
+              (tangential_velocity_at eoe_offsets eoe_edges eoe_weights u e));
+        let gn = grad_n_at edge_cells dc_edge pv_cell e
+        and gt = grad_t_at edge_vertices dv_edge pv_vertex e in
+        Array.unsafe_set gn_out e gn;
+        Array.unsafe_set gt_out e gt;
+        match f with
+        | None -> ()
+        | Some (apvm_factor, dt, u, v_tangential, out) ->
+            Array.unsafe_set out e
+              (pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt
+                 ~u:(Array.unsafe_get u e) ~grad_n:gn
+                 ~v:(Array.unsafe_get v_tangential e)
+                 ~grad_t:gt e)
+      done)
 
-(* The A4 [+X6] reconstruction chain lives in {!Reconstruct.run_range}:
-   its coefficient table is abstract, so the scalarized fused loop is
-   implemented next to it. *)
+(* The A4 [+X6] reconstruction chain is {!Reconstruct.run} on the
+   tile's span set: its coefficient table is abstract, so the
+   scalarized loop lives next to it. *)
 
 let next_substep_tracers ?pool ?on (m : Mesh.t) ~coef ~(base : Fields.state)
     ~(tend : Fields.tendencies) ~(provis : Fields.state) =
+  check_on "next_substep_tracers" on m.n_cells;
   Array.iteri
     (fun k row ->
       let base_row = base.Fields.tracers.(k) in
       let tend_row = tend.Fields.tend_tracers.(k) in
-      iter_pointwise pool ?on m.n_cells (fun c ->
+      iter pool ?on m.n_cells (fun c ->
           row.(c) <-
             ((base.Fields.h.(c) *. base_row.(c)) +. (coef *. tend_row.(c)))
             /. provis.Fields.h.(c)))
@@ -998,27 +977,31 @@ let next_substep_tracers ?pool ?on (m : Mesh.t) ~coef ~(base : Fields.state)
    the step; [finalize_tracers] converts back to concentrations. *)
 let seed_tracer_accumulator ?pool ?on (m : Mesh.t) ~(state : Fields.state)
     ~(accum : Fields.state) =
+  check_on "seed_tracer_accumulator" on m.n_cells;
   Array.iteri
     (fun k row ->
       let state_row = state.Fields.tracers.(k) in
-      iter_pointwise pool ?on m.n_cells (fun c ->
+      iter pool ?on m.n_cells (fun c ->
           row.(c) <- state.Fields.h.(c) *. state_row.(c)))
     accum.Fields.tracers
 
 let accumulate_tracers ?pool ?on (m : Mesh.t) ~coef
     ~(tend : Fields.tendencies) ~(accum : Fields.state) =
+  check_on "accumulate_tracers" on m.n_cells;
   Array.iteri
     (fun k row ->
-      let tend_row = tend.Fields.tend_tracers.(k) in
-      iter_pointwise pool ?on m.n_cells (fun c ->
-          row.(c) <- row.(c) +. (coef *. tend_row.(c))))
+      accumulate_row pool on m.n_cells ~coef ~tend:tend.Fields.tend_tracers.(k)
+        ~accum:row ~publish:None)
     accum.Fields.tracers
 
-let finalize_tracers ?pool ?on (m : Mesh.t) ~(state : Fields.state) =
-  Array.iter
-    (fun row ->
-      iter_pointwise pool ?on m.n_cells (fun c ->
-          row.(c) <- row.(c) /. state.Fields.h.(c)))
+let finalize_tracers ?pool ?on (m : Mesh.t) ~(accum : Fields.state)
+    ~(state : Fields.state) =
+  check_on "finalize_tracers" on m.n_cells;
+  Array.iteri
+    (fun k row ->
+      let acc_row = accum.Fields.tracers.(k) in
+      iter pool ?on m.n_cells (fun c ->
+          row.(c) <- acc_row.(c) /. state.Fields.h.(c)))
     state.Fields.tracers
 
 (* Convex/affine state blend for multi-stage integrators:
@@ -1027,11 +1010,13 @@ let finalize_tracers ?pool ?on (m : Mesh.t) ~(state : Fields.state) =
 let blend ?pool ?on_cells ?on_edges (m : Mesh.t) ~a ~(base : Fields.state) ~b
     ~(other : Fields.state) ~c ~(tend : Fields.tendencies)
     ~(out : Fields.state) =
-  iter_pointwise pool ?on:on_cells m.n_cells (fun i ->
+  check_on "blend" on_cells m.n_cells;
+  check_on "blend" on_edges m.n_edges;
+  iter pool ?on:on_cells m.n_cells (fun i ->
       out.Fields.h.(i) <-
         (a *. base.Fields.h.(i)) +. (b *. other.Fields.h.(i))
         +. (c *. tend.Fields.tend_h.(i)));
-  iter_pointwise pool ?on:on_edges m.n_edges (fun i ->
+  iter pool ?on:on_edges m.n_edges (fun i ->
       out.Fields.u.(i) <-
         (a *. base.Fields.u.(i)) +. (b *. other.Fields.u.(i))
         +. (c *. tend.Fields.tend_u.(i)));
@@ -1040,7 +1025,7 @@ let blend ?pool ?on_cells ?on_edges (m : Mesh.t) ~a ~(base : Fields.state) ~b
       let base_row = base.Fields.tracers.(k) in
       let other_row = other.Fields.tracers.(k) in
       let tend_row = tend.Fields.tend_tracers.(k) in
-      iter_pointwise pool ?on:on_cells m.n_cells (fun i ->
+      iter pool ?on:on_cells m.n_cells (fun i ->
           row.(i) <-
             ((a *. base.Fields.h.(i) *. base_row.(i))
             +. (b *. other.Fields.h.(i) *. other_row.(i))

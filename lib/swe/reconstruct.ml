@@ -1,5 +1,6 @@
 open Mpas_numerics
 open Mpas_mesh
+open Mpas_par
 
 type t = {
   coef : Vec3.t array array;  (** per cell, aligned with edges_on_cell *)
@@ -86,20 +87,18 @@ let check_u (m : Mesh.t) u =
       (Printf.sprintf "Reconstruct: u has %d elements, need %d"
          (Array.length u) m.n_edges)
 
-(* A4 when [a4], X6 when [x6], over the full cell range or the index
-   set [on]. *)
+(* A4 when [a4], X6 when [x6], over the full cell range or the span
+   set [on] — the runtime's A4 [+X6] chain is this sweep on its tile. *)
 let sweep ?pool ?on t (m : Mesh.t) ~u ~out ~a4 ~x6 =
   if a4 then check_u m u;
+  Option.iter (fun s -> Span.within "Reconstruct" s m.n_cells) on;
   let coef = t.coef and east = t.east and north = t.north in
   let edges_on_cell = m.edges_on_cell and n_edges_on_cell = m.n_edges_on_cell in
   Operators.range pool ?on m.n_cells (fun ~lo ~hi ->
-      let[@inline always] at c =
+      for c = lo to hi - 1 do
         if a4 then cartesian_at coef edges_on_cell n_edges_on_cell u out c;
         if x6 then horizontal_at east north out c
-      in
-      match on with
-      | None -> for c = lo to hi - 1 do at c done
-      | Some idx -> for k = lo to hi - 1 do at idx.(k) done)
+      done)
 
 let run ?pool ?on t m ~u ~out = sweep ?pool ?on t m ~u ~out ~a4:true ~x6:true
 
@@ -108,18 +107,3 @@ let run_cartesian ?pool ?on t m ~u ~out =
 
 let run_horizontal ?pool ?on t m ~out =
   sweep ?pool ?on t m ~u:[||] ~out ~a4:false ~x6:true
-
-(* The fused-runtime tile form of A4 [+X6]: the same bodies over one
-   contiguous cell range. *)
-let run_range t (m : Mesh.t) ~u ~out ~x6 ~lo ~hi =
-  if lo < 0 || lo > hi || hi > m.n_cells then
-    invalid_arg
-      (Printf.sprintf "Reconstruct.run_range: tile [%d, %d) outside [0, %d)"
-         lo hi m.n_cells);
-  check_u m u;
-  let coef = t.coef and east = t.east and north = t.north in
-  let edges_on_cell = m.edges_on_cell and n_edges_on_cell = m.n_edges_on_cell in
-  for c = lo to hi - 1 do
-    cartesian_at coef edges_on_cell n_edges_on_cell u out c;
-    if x6 then horizontal_at east north out c
-  done

@@ -20,29 +20,24 @@ val init : Mesh.t -> t
     derive [out.zonal] and [out.meridional] by projecting onto the
     local east/north directions. *)
 val run :
-  ?pool:Pool.t -> ?on:int array -> t -> Mesh.t -> u:float array ->
+  ?pool:Pool.t -> ?on:Span.t -> t -> Mesh.t -> u:float array ->
   out:Fields.reconstruction -> unit
 
 (** The two pattern instances separately, for drivers that schedule A4
     and X6 as distinct tasks (the dataflow runtime).  [run_cartesian]
     fills [out.ux/uy/uz] (A4); [run_horizontal] derives
     [out.zonal/meridional] from them (X6).  Running the pair is
-    bit-identical to {!run}. *)
+    bit-identical to {!run}.  All three run the same per-cell bodies,
+    with the Vec3 arithmetic scalarized so nothing allocates per cell,
+    over the full cell range or the span set [on]; [run] on a runtime
+    tile is the fused A4 [+X6] chain.  Raises [Invalid_argument] when
+    [u] is shorter than the edge count or [on] reaches past the cell
+    range. *)
 val run_cartesian :
-  ?pool:Pool.t -> ?on:int array -> t -> Mesh.t -> u:float array ->
+  ?pool:Pool.t -> ?on:Span.t -> t -> Mesh.t -> u:float array ->
   out:Fields.reconstruction -> unit
 
 val run_horizontal :
-  ?pool:Pool.t -> ?on:int array -> t -> Mesh.t ->
+  ?pool:Pool.t -> ?on:Span.t -> t -> Mesh.t ->
   out:Fields.reconstruction -> unit
 
-(** The fused-runtime tile form: A4 over the contiguous cell range
-    [lo, hi), with X6's projection riding the same sweep when [x6] is
-    set.  All four entry points run the same per-cell bodies, with the
-    Vec3 arithmetic scalarized so nothing allocates per cell, and are
-    bitwise equal on the cells they cover.  Raises [Invalid_argument]
-    when [u] is shorter than the edge count or the tile is not within
-    [\[0, n_cells\]]. *)
-val run_range :
-  t -> Mesh.t -> u:float array -> out:Fields.reconstruction -> x6:bool ->
-  lo:int -> hi:int -> unit

@@ -3,11 +3,24 @@
 
     Engines differ exactly along the axes the paper studies:
     - [original]: the pre-refactoring code path — irregular reductions
-      run in their scatter (edge/vertex-order) form, sequentially;
+      run in their scatter (edge/vertex-order) form, sequentially, one
+      kernel after another;
     - [refactored]: all loops in regularity-aware gather form
-      (Algorithm 3), sequential;
-    - [parallel pool]: the gather form with every pattern loop run on
-      the domain pool — the "OpenMP" execution of the hybrid design. *)
+      (Algorithm 3), run as the fused chain order of the runtime's
+      planner ({!rk4_sweep} over one rank with the full spans),
+      sequential;
+    - [parallel pool]: the same chain order with every chain chunked
+      over the domain pool — the "OpenMP" execution of the hybrid
+      design.
+
+    The RK-4 step is written once ({!rk4_sweep}), over an array of
+    {!rank}s: the solo engines pass one rank and no exchange, the
+    distributed driver ([Mpas_dist.Driver]) its ranks and a halo
+    exchange; [original] runs the same step with its scatter kernels
+    in each phase.  A fused chain
+    is timed under its head kernel's family, so the accumulative update
+    riding the tend or diagnostics chains and the boundary mask riding
+    [tend_u_chain] read near zero under their own names. *)
 
 open Mpas_mesh
 open Mpas_par
@@ -84,6 +97,60 @@ val with_custom : engine -> custom -> engine
     them.  With the no-op sink the added cost per kernel call is one
     timer update. *)
 val observed : ?registry:Mpas_obs.Metrics.t -> engine -> engine
+
+(** {1 Rank-local sweeps} *)
+
+(** Where a halo-exchanged field lives. *)
+type halo = Cells | Edges | Vertices
+
+(** One rank of a sweep: the span sets it computes on and the arrays it
+    owns.  Every kernel writes exactly the rank's spans; entries
+    outside them are read only where a neighbouring stencil needs them,
+    after the exchange that fills them. *)
+type rank = {
+  cells : Span.t;
+  edges : Span.t;
+  vertices : Span.t;
+  state : Fields.state;
+  work : workspace;
+}
+
+(** [exchange loc field] makes every rank's [field r] agree with the
+    owner's value on the entries the rank reads but does not own.  The
+    sweep calls it after every kernel whose output another rank's
+    stencil reads (paper Figures 2/4: "Exchange halo"). *)
+type exchange = halo -> (rank -> float array) -> unit
+
+(** Fill every rank's diagnostics from its [state], in the chain
+    order's compute_solve_diagnostics. *)
+val diagnose :
+  engine -> Config.t -> Mesh.t -> dt:float -> ?exchange:exchange ->
+  rank array -> unit
+
+(** One RK-4 step on every rank.  The gather engines run the runtime
+    planner's fused chain order: per substep [A1], [B1 C1 X1 X2], X3,
+    [H2 A2 A3 X4], [B2 G X5], [D1 C2 D2], E, [H1 F]; the final substep
+    carries X4/X5 (publishing the new state) on the tend chains instead.
+    [original] (one full-range rank only) runs its scatter kernels one
+    after another in the same phases, with X2 and X4/X5 as their own
+    phases (paper Algorithm 1).  Tracers and
+    del-4 diffusion run as their own kernels in between.  Halo
+    exchanges: 10 per substep at fourth-order thickness advection, plus
+    3 with del-4 diffusion and 2 per tracer; without [exchange] (one
+    rank) there are none.  Bitwise equal, on each rank's spans, to the
+    unfused kernel sequence. *)
+val rk4_sweep :
+  engine ->
+  Config.t ->
+  Mesh.t ->
+  b:float array ->
+  ?recon:Reconstruct.t ->
+  dt:float ->
+  ?exchange:exchange ->
+  rank array ->
+  unit
+
+(** {1 Solo drivers} *)
 
 (** [n_tracers] must match the state the workspace will serve. *)
 val alloc_workspace : ?n_tracers:int -> Mesh.t -> workspace

@@ -192,7 +192,7 @@ let test_pool_and_subset_execution () =
       let par = Array.make n 0. in
       Stencil.run ~pool env k ~out:par;
       Alcotest.(check bool) "pool bitwise equal" true (bitwise_equal serial par));
-  let subset = Array.init (n / 2) (fun i -> 2 * i) in
+  let subset = Mpas_par.Span.of_sorted (Array.init (n / 2) (fun i -> 2 * i)) in
   let partial = Array.make n nan in
   Stencil.run ~on:subset env k ~out:partial;
   Array.iteri

@@ -175,6 +175,71 @@ let prop_disjoint_writes_race_free =
           Pool.parallel_for p ~lo:0 ~hi:n (fun i -> a.(i) <- 3 * i);
           Array.for_all Fun.id (Array.init n (fun i -> a.(i) = 3 * i))))
 
+(* --- span sets --------------------------------------------------------- *)
+
+let rejects name f =
+  Alcotest.(check bool) (name ^ " raises Invalid_argument") true
+    (match f () with _ -> false | exception Invalid_argument _ -> true)
+
+let test_span_validation () =
+  rejects "unsorted" (fun () -> Span.of_spans [| (5, 7); (0, 2) |]);
+  rejects "overlapping" (fun () -> Span.of_spans [| (0, 4); (3, 6) |]);
+  rejects "empty span" (fun () -> Span.of_spans [| (0, 2); (4, 4) |]);
+  rejects "inverted span" (fun () -> Span.of_spans [| (3, 1) |]);
+  rejects "negative" (fun () -> Span.of_spans [| (-1, 2) |]);
+  rejects "range below zero" (fun () -> Span.range (-2) 3);
+  rejects "inverted range" (fun () -> Span.range 4 3);
+  rejects "unsorted indices" (fun () -> Span.of_sorted [| 0; 3; 2 |]);
+  rejects "repeated index" (fun () -> Span.of_sorted [| 1; 1 |]);
+  rejects "negative index" (fun () -> Span.of_sorted [| -1; 0 |]);
+  rejects "past the space" (fun () -> Span.within "test" (Span.range 0 11) 10);
+  Span.within "test" (Span.range 0 10) 10;
+  let s = Span.of_spans [| (0, 2); (2, 3); (7, 9) |] in
+  Alcotest.(check int) "adjacent runs kept" 3 (Span.spans s);
+  Alcotest.(check int) "cardinal" 5 (Span.cardinal s);
+  Alcotest.(check int) "bound" 9 (Span.bound s);
+  Alcotest.(check (array int)) "same indices as merged runs"
+    [| 0; 1; 2; 7; 8 |] (Span.to_array s);
+  Alcotest.(check int) "of_sorted merges runs" 2
+    (Span.spans (Span.of_sorted [| 0; 1; 2; 7; 8 |]));
+  Alcotest.(check int) "empty range" 0 (Span.spans (Span.range 3 3));
+  Alcotest.(check (array int)) "filter" [| 1; 7 |]
+    (Span.to_array (Span.filter (fun i -> i mod 2 = 1 || i = 7) s))
+
+(* A random span set, as runs of random length and gap (gap 0 gives
+   adjacent runs). *)
+let random_spans r n =
+  let runs = ref [] and i = ref (Random.State.int r 5) in
+  while !i < n do
+    let hi = Int.min n (!i + 1 + Random.State.int r 9) in
+    runs := (!i, hi) :: !runs;
+    i := hi + Random.State.int r 6
+  done;
+  Span.of_spans (Array.of_list (List.rev !runs))
+
+(* Walked span by span or in pool chunks of positions, a set hands out
+   each of its indices exactly once and nothing else. *)
+let prop_span_runs_cover_set =
+  QCheck.Test.make ~name:"span runs cover the set exactly once" ~count:50
+    QCheck.(pair (int_range 0 10_000) (int_range 1 7))
+    (fun (seed, chunk) ->
+      let r = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int r 300 in
+      let s = random_spans r n in
+      let expected = Array.make (n + 16) 0 in
+      Span.iter (fun i -> expected.(i) <- 1) s;
+      let count pool =
+        let hits = Array.init (n + 16) (fun _ -> Atomic.make 0) in
+        Span.runs ~chunk pool s (fun ~lo ~hi ->
+            for i = lo to hi - 1 do
+              Atomic.incr hits.(i)
+            done);
+        Array.map Atomic.get hits
+      in
+      count None = expected
+      && Pool.with_pool ~n_domains:2 (fun p -> count (Some p)) = expected
+      && Array.length (Span.to_array s) = Span.cardinal s)
+
 let () =
   Alcotest.run "par"
     [
@@ -196,6 +261,8 @@ let () =
           Alcotest.test_case "exn safety" `Quick
             test_with_pool_shuts_down_on_exn;
         ] );
+      ( "span",
+        [ Alcotest.test_case "validation" `Quick test_span_validation ] );
       ( "deque",
         [
           Alcotest.test_case "owner LIFO, thief FIFO" `Quick
@@ -205,5 +272,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sum_equals_closed_form; prop_disjoint_writes_race_free ] );
+          [
+            prop_sum_equals_closed_form;
+            prop_disjoint_writes_race_free;
+            prop_span_runs_cover_set;
+          ] );
     ]

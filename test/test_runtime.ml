@@ -179,10 +179,11 @@ let test_part_ranges_tile () =
           Alcotest.(check int)
             (Printf.sprintf "n=%d f=%g tiles" n f)
             n
-            (Array.length a + Array.length b);
-          if Array.length a > 0 && Array.length b > 0 then
-            Alcotest.(check int) "contiguous" (a.(Array.length a - 1) + 1)
-              b.(0))
+            (Span.cardinal a + Span.cardinal b);
+          Alcotest.(check bool) "one span each" true
+            (Span.spans a <= 1 && Span.spans b <= 1);
+          if Span.cardinal a > 0 && Span.cardinal b > 0 then
+            Alcotest.(check int) "contiguous" (Span.bound a) (Span.lo b 0))
         [ 0.1; 0.25; 0.4; 0.5; 0.9 ])
     [ 1; 7; 642; 1000 ]
 

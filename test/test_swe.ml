@@ -1,5 +1,6 @@
 open Mpas_numerics
 open Mpas_mesh
+open Mpas_par
 open Mpas_swe
 
 let ico = lazy (Build.icosahedral ~level:3 ~lloyd_iters:3 ())
@@ -852,7 +853,7 @@ let test_state_io_file_roundtrip_both_families () =
    updates [tend_u] in place: its runner works on a copy and reports
    every entry it listed or changed. *)
 
-type runner = ?pool:Mpas_par.Pool.t -> ?on:int array -> float array -> unit
+type runner = ?pool:Mpas_par.Pool.t -> ?on:Span.t -> float array -> unit
 
 let gravity = 9.80616
 
@@ -910,7 +911,7 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
     in
     match on with
     | None -> for e = 0 to m.n_edges - 1 do at e done
-    | Some idx -> Array.iter at idx
+    | Some s -> Span.iter at s
   in
   let upwind =
     per_edge (fun c1 c2 e -> if u.(e) >= 0. then tracer.(c1) else tracer.(c2))
@@ -924,7 +925,7 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
       t;
     match on with
     | None -> Array.blit t 0 out 0 m.n_edges
-    | Some idx -> Array.iter (fun e -> out.(e) <- t.(e)) idx
+    | Some s -> Span.iter (fun e -> out.(e) <- t.(e)) s
   in
   let lap = spec "C1 velocity_laplacian" in
   [
@@ -1020,7 +1021,7 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
         let add e = t.(e) <- t.(e) +. (visc2 *. l.(e)) in
         (match on with
         | None -> for e = 0 to m.n_edges - 1 do add e done
-        | Some idx -> Array.iter add idx);
+        | Some s -> Span.iter add s);
         report ?on t out );
   ]
 
@@ -1032,14 +1033,14 @@ let bitwise_equal a b =
    [only_listed] checks the kernel side directly. *)
 let only_listed out on =
   let listed = Array.make (Array.length out) false in
-  Array.iter (fun i -> listed.(i) <- true) on;
+  Span.iter (fun i -> listed.(i) <- true) on;
   Array.for_all2 (fun l x -> l || Float.is_nan x) listed out
 
 let check_csr_pairs ?pool ~subset label m seed =
   List.iter
     (fun (name, n, (csr_run : runner), (reference : runner)) ->
       let on =
-        if subset then Some (Array.init ((n / 2) + 1) (fun i -> 2 * i mod n))
+        if subset then Some (Span.of_pred n (fun i -> i mod 2 = 0 || i mod 7 < 3))
         else None
       in
       let a = Array.make n nan and b = Array.make n nan in
@@ -1064,8 +1065,9 @@ let test_csr_bitwise_subset () =
   Mpas_par.Pool.with_pool ~n_domains:2 (fun pool ->
       check_csr_pairs ~pool ~subset:true "ico" (Lazy.force ico) 56L)
 
-(* The index-set walk writes unchecked, so a bad index must be refused
-   before the first write: the valid entries ahead of it stay NaN. *)
+(* The span walk writes unchecked, so a set reaching past the space must
+   be refused before the first write: the valid span ahead of the bad
+   one stays NaN. *)
 let test_on_out_of_range_rejected () =
   let m = Lazy.force ico in
   List.iter
@@ -1074,7 +1076,7 @@ let test_on_out_of_range_rejected () =
         (fun bad ->
           let out = Array.make n nan in
           let raised =
-            match csr_run ~on:[| 0; 1; bad |] out with
+            match csr_run ~on:(Span.of_spans [| (0, 2); (bad, bad + 1) |]) out with
             | () -> false
             | exception Invalid_argument _ -> true
           in
@@ -1085,11 +1087,11 @@ let test_on_out_of_range_rejected () =
             (Printf.sprintf "%s wrote nothing" name)
             true
             (Array.for_all Float.is_nan out))
-        [ n; -1 ])
+        [ n; n + 5 ])
     (csr_kernel_pairs m 57L)
 
-(* The chains index unchecked, so a tile outside the space or a short
-   ride-along array must be refused before the first write. *)
+(* The chains index unchecked, so a span set reaching past the space or
+   a short ride-along array must be refused before the first write. *)
 let test_chain_inputs_rejected () =
   let m = Lazy.force ico in
   let nc = m.n_cells and ne = m.n_edges and nv = m.n_vertices in
@@ -1104,60 +1106,61 @@ let test_chain_inputs_rejected () =
     Alcotest.(check bool) (name ^ " wrote nothing") true
       (Array.for_all Float.is_nan out)
   in
-  let tend_h ?(x4 = None) ~lo ~hi () =
-    Operators.tend_h_chain m ~h_edge:(full ne) ~u:(full ne) ~out ~x4 ~lo ~hi
+  let tend_h ?(x4 = None) on () =
+    Operators.tend_h_chain m ~h_edge:(full ne) ~u:(full ne) ~out ~x4 ~on
   in
-  rejects "lo = -1" (tend_h ~lo:(-1) ~hi:nc);
-  rejects "hi = n + 1" (tend_h ~lo:0 ~hi:(nc + 1));
-  rejects "lo > hi" (tend_h ~lo:2 ~hi:1);
+  rejects "hi = n + 1" (tend_h (Span.range 0 (nc + 1)));
+  rejects "last span past n" (tend_h (Span.of_spans [| (0, 2); (nc, nc + 1) |]));
   rejects "short x4 accumulator"
-    (tend_h ~x4:(Some (1., full (nc - 1), None)) ~lo:0 ~hi:nc);
+    (tend_h ~x4:(Some (1., full (nc - 1), None)) (Span.full nc));
   rejects "short x4 publish target"
-    (tend_h ~x4:(Some (1., full nc, Some (full (nc - 1)))) ~lo:0 ~hi:nc);
+    (tend_h ~x4:(Some (1., full nc, Some (full (nc - 1)))) (Span.full nc));
   rejects "short dissipation vorticity" (fun () ->
       Operators.tend_u_chain m ~pv_average:Config.Symmetric ~gravity
         ~h:(full nc) ~b:(full nc) ~ke:(full nc) ~h_edge:(full ne) ~u:(full ne)
         ~pv_edge:(full ne) ~out
         ~dissip:(Some (1., full nc, full (nv - 1)))
-        ~drag:0. ~boundary:false ~x5:None ~lo:0 ~hi:ne);
+        ~drag:0. ~boundary:false ~x5:None ~on:(Span.full ne));
   rejects "short x4 tend_h" (fun () ->
       Operators.diag_cells_chain m ~h:(full nc) ~u:(full ne) ~d2:(Some out)
         ~ke_out:None ~div_out:None ~x4:(Some (1., full nc, None))
-        ~tend_h:(full (nc - 1)) ~lo:0 ~hi:nc);
+        ~tend_h:(full (nc - 1)) ~on:(Span.full nc));
   rejects "short G output" (fun () ->
       Operators.diag_edges_chain m ~order:Config.Second ~h:(full nc)
         ~d2fdx2_cell:[||] ~h_edge_out:out
         ~g:(Some (full ne, Array.make (ne - 1) nan))
-        ~x5:None ~tend_u:[||] ~lo:0 ~hi:ne);
+        ~x5:None ~tend_u:[||] ~on:(Span.full ne));
   rejects "pv_out without hv_out" (fun () ->
       Operators.vortex_chain m ~u:(full ne) ~h:(full nc) ~vort_out:out
-        ~hv_out:None ~pv_out:(Some out) ~lo:0 ~hi:nv);
+        ~hv_out:None ~pv_out:(Some out) ~on:(Span.full nv));
   rejects "short F v_tangential" (fun () ->
       Operators.pv_edge_chain m ~g:None ~pv_cell:(full nc) ~pv_vertex:(full nv)
         ~gn_out:(full ne) ~gt_out:(full ne)
         ~f:(Some (0.5, 1., full ne, full (ne - 1), full ne))
-        ~lo:0 ~hi:ne)
+        ~on:(Span.full ne))
 
 (* --- properties -------------------------------------------------------------- *)
 
-(* A random unsorted subset of [0, n): empty, a singleton, or a
-   shuffled prefix of any length. *)
-let random_index_set r n =
-  let perm = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Rng.int r (i + 1) in
-    let t = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- t
-  done;
-  let len =
-    match Rng.int r 4 with 0 -> 0 | 1 -> Int.min 1 n | _ -> Rng.int r (n + 1)
-  in
-  Array.sub perm 0 len
+(* A random span set over [0, n): empty, the full range, or sorted runs
+   of random lengths separated by random gaps (possibly none, so
+   adjacent runs occur too). *)
+let random_span_set r n =
+  match Rng.int r 4 with
+  | 0 -> Span.empty
+  | 1 -> Span.full n
+  | _ ->
+      let step = Int.max 1 (n / 8) in
+      let runs = ref [] and i = ref (Rng.int r step) in
+      while !i < n do
+        let hi = Int.min n (!i + 1 + Rng.int r step) in
+        runs := (!i, hi) :: !runs;
+        i := hi + Rng.int r step
+      done;
+      Span.of_spans (Array.of_list (List.rev !runs))
 
 let prop_csr_matches_stencil =
   QCheck.Test.make
-    ~name:"CSR fast paths bit-identical to Stencil.run on random index sets"
+    ~name:"CSR fast paths bit-identical to Stencil.run on random span sets"
     ~count:10
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -1165,7 +1168,7 @@ let prop_csr_matches_stencil =
       let agree ?pool m seed =
         List.for_all
           (fun (_, n, (csr_run : runner), (reference : runner)) ->
-            let on = random_index_set r n in
+            let on = random_span_set r n in
             let a = Array.make n nan and b = Array.make n nan in
             csr_run ?pool ~on a;
             reference ?pool ~on b;
@@ -1191,10 +1194,9 @@ let accum_variants = [ `Off; `Accum; `Publish ]
 
 (* One chain case: [run ~chain] builds every array afresh from [seed]
    (inputs random, outputs NaN, accumulators random), runs either the
-   chain over [lo, hi) or the member kernels back to back with [?on] =
-   that tile, and returns every array either may have written. *)
-let chain_cases (m : Mesh.t) seed ~lo ~hi =
-  let tile = Array.init (hi - lo) (fun k -> lo + k) in
+   chain over [on] or the member kernels back to back with [?on] =
+   that set, and returns every array either may have written. *)
+let chain_cases (m : Mesh.t) seed ~on =
   let rand r n a b = Array.init n (fun _ -> Rng.uniform r a b) in
   let nans n = Array.make n nan in
   let coef = 0.125 in
@@ -1203,8 +1205,8 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
       ~(accum : Fields.state) ~publish ~(state : Fields.state) =
     Operators.accumulate ~on_cells ~on_edges m ~coef ~tend ~accum;
     if publish then begin
-      Array.iter (fun c -> state.Fields.h.(c) <- accum.Fields.h.(c)) on_cells;
-      Array.iter (fun e -> state.Fields.u.(e) <- accum.Fields.u.(e)) on_edges
+      Span.iter (fun c -> state.Fields.h.(c) <- accum.Fields.h.(c)) on_cells;
+      Span.iter (fun e -> state.Fields.u.(e) <- accum.Fields.u.(e)) on_edges
     end
   in
   let st h u = { Fields.h; u; tracers = [||] } in
@@ -1228,11 +1230,11 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
               and publish = nans nc in
               (if chain then
                  Operators.tend_h_chain m ~h_edge ~u ~out
-                   ~x4:(x_arg x4 accum publish) ~lo ~hi
+                   ~x4:(x_arg x4 accum publish) ~on
                else begin
-                 Operators.tend_h ~on:tile m ~h_edge ~u ~out;
+                 Operators.tend_h ~on m ~h_edge ~u ~out;
                  if x4 <> `Off then
-                   accum_members ~on_cells:tile ~on_edges:[||]
+                   accum_members ~on_cells:on ~on_edges:Span.empty
                      ~tend:(td out [||]) ~accum:(st accum [||])
                      ~publish:(x4 = `Publish) ~state:(st publish [||])
                end);
@@ -1266,9 +1268,8 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
                            ~dissip:
                              (if dissip then Some (visc2, divergence, vorticity)
                               else None)
-                           ~drag ~boundary ~x5:(x_arg x5 accum publish) ~lo ~hi
+                           ~drag ~boundary ~x5:(x_arg x5 accum publish) ~on
                        else begin
-                         let on = tile in
                          Operators.tend_u ~on ~pv_average m ~gravity ~h ~b ~ke
                            ~h_edge ~u ~pv_edge ~out;
                          Operators.dissipation ~on m ~visc2 ~divergence
@@ -1277,7 +1278,7 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
                          if boundary then
                            Operators.enforce_boundary_edge ~on m ~tend_u:out;
                          if x5 <> `Off then
-                           accum_members ~on_cells:[||] ~on_edges:on
+                           accum_members ~on_cells:Span.empty ~on_edges:on
                              ~tend:(td [||] out) ~accum:(st [||] accum)
                              ~publish:(x5 = `Publish) ~state:(st [||] publish)
                        end);
@@ -1304,15 +1305,14 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
                          Operators.diag_cells_chain m ~h ~u
                            ~d2:(opt d2 d2_out) ~ke_out:(opt ke ke_out)
                            ~div_out:(opt div div_out)
-                           ~x4:(x_arg x4 accum publish) ~tend_h ~lo ~hi
+                           ~x4:(x_arg x4 accum publish) ~tend_h ~on
                        else begin
-                         let on = tile in
                          if d2 then Operators.d2fdx2 ~on m ~h ~out:d2_out;
                          if ke then
                            Operators.kinetic_energy ~on m ~u ~out:ke_out;
                          if div then Operators.divergence ~on m ~u ~out:div_out;
                          if x4 <> `Off then
-                           accum_members ~on_cells:on ~on_edges:[||]
+                           accum_members ~on_cells:on ~on_edges:Span.empty
                              ~tend:(td tend_h [||]) ~accum:(st accum [||])
                              ~publish:(x4 = `Publish) ~state:(st publish [||])
                        end);
@@ -1341,15 +1341,14 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
                          Operators.diag_edges_chain m ~order ~h ~d2fdx2_cell
                            ~h_edge_out
                            ~g:(if g then Some (u, v_out) else None)
-                           ~x5:(x_arg x5 accum publish) ~tend_u ~lo ~hi
+                           ~x5:(x_arg x5 accum publish) ~tend_u ~on
                        else begin
-                         let on = tile in
                          Operators.h_edge ~on m ~order ~h ~d2fdx2_cell
                            ~out:h_edge_out;
                          if g then
                            Operators.tangential_velocity ~on m ~u ~out:v_out;
                          if x5 <> `Off then
-                           accum_members ~on_cells:[||] ~on_edges:on
+                           accum_members ~on_cells:Span.empty ~on_edges:on
                              ~tend:(td [||] tend_u) ~accum:(st [||] accum)
                              ~publish:(x5 = `Publish) ~state:(st [||] publish)
                        end);
@@ -1368,9 +1367,8 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
                  Operators.vortex_chain m ~u ~h ~vort_out:vort
                    ~hv_out:(if hv then Some hv_arr else None)
                    ~pv_out:(if pv then Some pv_arr else None)
-                   ~lo ~hi
+                   ~on
                else begin
-                 let on = tile in
                  Operators.vorticity ~on m ~u ~out:vort;
                  if hv then Operators.h_vertex ~on m ~h ~out:hv_arr;
                  if pv then
@@ -1399,9 +1397,8 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
                        ~f:
                          (if f then Some (apvm_factor, dt, u, v_tan, pv_edge)
                           else None)
-                       ~lo ~hi
+                       ~on
                    else begin
-                     let on = tile in
                      if g then
                        Operators.tangential_velocity ~on m ~u ~out:v_tan;
                      Operators.grad_pv ~on m ~pv_cell ~pv_vertex ~out_n:gn
@@ -1416,12 +1413,12 @@ let chain_cases (m : Mesh.t) seed ~lo ~hi =
         (subsets 2);
     ]
 
-(* Each chain over a random tile, under every subset of its ride-along
-   members, is bitwise the member kernels run back to back on that
-   tile — including the NaN left everywhere outside it. *)
+(* Each chain over a random span set, under every subset of its
+   ride-along members, is bitwise the member kernels run back to back on
+   that set — including the NaN left everywhere outside it. *)
 let prop_chains_match_members =
   QCheck.Test.make
-    ~name:"fused chains bit-identical to their member kernels on random tiles"
+    ~name:"fused chains bit-identical to their member kernels on random span sets"
     ~count:10
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -1436,14 +1433,13 @@ let prop_chains_match_members =
           List.for_all
             (fun name ->
               let n = space name in
-              let a = Rng.int r (n + 1) and b = Rng.int r (n + 1) in
-              let lo = Int.min a b and hi = Int.max a b in
+              let on = random_span_set r n in
               List.for_all
                 (fun (name', run) ->
                   name' <> name
                   || List.for_all2 bitwise_equal (run ~chain:true)
                        (run ~chain:false))
-                (chain_cases m (Int64.of_int (Rng.int r 1_000_000)) ~lo ~hi))
+                (chain_cases m (Int64.of_int (Rng.int r 1_000_000)) ~on))
             [ "tend_h_chain"; "tend_u_chain"; "diag_cells_chain";
               "diag_edges_chain"; "vortex_chain"; "pv_edge_chain" ])
         (* a boundary mask on a strict subset gives X2 real work *)
@@ -1451,6 +1447,102 @@ let prop_chains_match_members =
            (fun m ->
              Mesh.with_boundary_edges (Lazy.force m) (fun e -> e mod 7 = 0))
            [ ico; hex ]))
+
+(* Each chain with every stencil member on and no ride-along, over a
+   random span set, against [Stencil.run] of the members' Library specs
+   on the same set — bit for bit, NaN everywhere outside it.  Members
+   that read an earlier member's output are fed the reference's own
+   output, so each comparison pins one body. *)
+let prop_chains_match_stencil =
+  QCheck.Test.make
+    ~name:"fused chains bit-identical to Stencil.run on random span sets"
+    ~count:10
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let r = Rng.create (Int64.of_int seed) in
+      List.for_all
+        (fun (m : Mesh.t) ->
+          let nc = m.n_cells and ne = m.n_edges and nv = m.n_vertices in
+          let rand n a b = Array.init n (fun _ -> Rng.uniform r a b) in
+          let nans n = Array.make n nan in
+          let apvm_factor = 0.5 and dt = 300. in
+          let fields = ref [] in
+          let input name a = fields := (name, a) :: !fields; a in
+          let u = input "u" (rand ne (-10.) 10.) in
+          let h = input "h" (rand nc 900. 1100.) in
+          let b = input "b" (rand nc 0. 100.) in
+          let ke = input "ke" (rand nc 0. 50.) in
+          let h_edge = input "h_edge" (rand ne 900. 1100.) in
+          let pv_edge = input "pv_edge" (rand ne (-1e-6) 1e-6) in
+          let d2 = input "d2fdx2_cell" (rand nc (-1e-6) 1e-6) in
+          let pv_cell = input "pv_cell" (rand nc (-1e-6) 1e-6) in
+          let pv_vertex = input "pv_vertex" (rand nv (-1e-6) 1e-6) in
+          let env () = { Mpas_gen.Stencil.mesh = m; fields = !fields } in
+          let reference ?(with_ = []) name on =
+            let n =
+              Mpas_gen.Stencil.out_length m
+                (Mpas_gen.Library.spec ~gravity ~apvm_dt:(apvm_factor *. dt) name)
+            in
+            let out = nans n in
+            let env = env () in
+            Mpas_gen.Stencil.run ~on
+              { env with Mpas_gen.Stencil.fields = with_ @ env.Mpas_gen.Stencil.fields }
+              (Mpas_gen.Library.spec ~gravity ~apvm_dt:(apvm_factor *. dt) name)
+              ~out;
+            out
+          in
+          let cells = random_span_set r nc and edges = random_span_set r ne
+          and vertices = random_span_set r nv in
+          let tend_h = nans nc and tend_u = nans ne in
+          Operators.tend_h_chain m ~h_edge ~u ~out:tend_h ~x4:None ~on:cells;
+          Operators.tend_u_chain m ~pv_average:Config.Symmetric ~gravity ~h ~b
+            ~ke ~h_edge ~u ~pv_edge ~out:tend_u ~dissip:None ~drag:0.
+            ~boundary:false ~x5:None ~on:edges;
+          let d2_out = nans nc and ke_out = nans nc and div_out = nans nc in
+          Operators.diag_cells_chain m ~h ~u ~d2:(Some d2_out)
+            ~ke_out:(Some ke_out) ~div_out:(Some div_out) ~x4:None
+            ~tend_h:[||] ~on:cells;
+          let he_out = nans ne and v_out = nans ne in
+          Operators.diag_edges_chain m ~order:Config.Fourth ~h
+            ~d2fdx2_cell:d2 ~h_edge_out:he_out ~g:(Some (u, v_out)) ~x5:None
+            ~tend_u:[||] ~on:edges;
+          let vort = nans nv and hv = nans nv and pv = nans nv in
+          Operators.vortex_chain m ~u ~h ~vort_out:vort ~hv_out:(Some hv)
+            ~pv_out:(Some pv) ~on:vertices;
+          let v2 = nans ne and gn = nans ne and gt = nans ne
+          and pve = nans ne in
+          Operators.pv_edge_chain m ~g:(Some (u, v2)) ~pv_cell ~pv_vertex
+            ~gn_out:gn ~gt_out:gt ~f:(Some (apvm_factor, dt, u, v2, pve))
+            ~on:edges;
+          let vort_ref = reference "D1 vorticity" vertices
+          and hv_ref = reference "C2 h_vertex" vertices in
+          let v_ref = reference "G tangential velocity" edges in
+          let gn_ref = reference "H1 grad_pv_n" edges
+          and gt_ref = reference "H1 grad_pv_t" edges in
+          List.for_all2 bitwise_equal
+            [ tend_h; tend_u; d2_out; ke_out; div_out; he_out; v_out; vort;
+              hv; pv; v2; gn; gt; pve ]
+            [
+              reference "A1 tend_h" cells;
+              reference "B1 tend_u" edges;
+              reference "H2 d2fdx2" cells;
+              reference "A2 kinetic energy" cells;
+              reference "A3 divergence" cells;
+              reference "B2 h_edge (4th order)" edges;
+              v_ref;
+              vort_ref;
+              hv_ref;
+              reference
+                ~with_:[ ("vorticity", vort_ref); ("h_vertex", hv_ref) ]
+                "D2 pv_vertex" vertices;
+              v_ref;
+              gn_ref;
+              gt_ref;
+              reference
+                ~with_:[ ("v", v_ref); ("grad_pv_n", gn_ref); ("grad_pv_t", gt_ref) ]
+                "F pv_edge" edges;
+            ])
+        [ Lazy.force ico; Lazy.force hex ])
 
 let prop_refactoring_equivalence =
   QCheck.Test.make ~name:"scatter = gather for random velocity fields"
@@ -1620,6 +1712,7 @@ let () =
           [
             prop_csr_matches_stencil;
             prop_chains_match_members;
+            prop_chains_match_stencil;
             prop_refactoring_equivalence;
             prop_ke_nonnegative;
             prop_divergence_of_any_field_integrates_to_zero;
