@@ -109,6 +109,9 @@ let bench_cases () =
             ~d2fdx2_cell:diag.d2fdx2_cell ~out:diag.h_edge );
       ( "pattern instances (real kernels)", "D1 vorticity",
         fun () -> Operators.vorticity m ~u:state.u ~out:diag.vorticity );
+      ( "pattern instances (real kernels)", "E pv_cell",
+        fun () ->
+          Operators.pv_cell m ~pv_vertex:diag.pv_vertex ~out:diag.pv_cell );
       ( "pattern instances (real kernels)", "G tangential velocity",
         fun () ->
           Operators.tangential_velocity m ~u:state.u ~out:diag.v_tangential );
@@ -152,6 +155,16 @@ let bench_cases () =
         fun () -> Mpas_dist.Overlap.run overlap2 ~steps:1 );
       ( "full RK-4 step", "overlapped, 4 ranks",
         fun () -> Mpas_dist.Overlap.run overlap4 ~steps:1 );
+      (* What a served or closed-loop job pays before its first step on
+         a mesh that already has a model: workspace, copies and
+         diagnostics; the mesh-derived tables are shared. *)
+      ( "model setup", "Model.of_state (level 4)",
+        fun () ->
+          let r = model_refactored in
+          ignore
+            (Model.of_state ~dt:r.Model.dt ~b:r.Model.b r.Model.mesh
+               r.Model.state
+              : Model.t) );
     ]
   in
   (* The dataflow task runtime: one full RK-4 step per engine variant.
@@ -321,6 +334,7 @@ let tests_of_cases cases =
 let direct_groups =
   [
     "full RK-4 step";
+    "model setup";
     "task runtime (dataflow DAG)";
     "ensemble (member batching)";
     "serving layer";

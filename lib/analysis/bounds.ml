@@ -1,10 +1,11 @@
 open Mpas_mesh
 
 (* The unsafe-indexed CSR fast paths, as data: every
-   [Array.unsafe_get/set] in Mpas_swe.Operators (and
-   Mpas_patterns.Refactor.edge_to_cell_csr) is catalogued with the
+   [Array.unsafe_get/set] in Mpas_swe.Operators and Mpas_swe.Reconstruct
+   (and Mpas_patterns.Refactor.edge_to_cell_csr) is catalogued with the
    shape of its index expression, and each shape is discharged against
-   the typed CSR invariants of [Mesh.Csr.validate].  The fast paths
+   the typed CSR invariants of [Mesh.Csr.validate] and the table lengths
+   of [Mesh.Csr.validate_recon].  The fast paths
    thereby carry a machine-checked justification: if [validate] is
    clean, every unsafe index is in bounds. *)
 
@@ -30,8 +31,6 @@ type index =
   | Loaded of { table : string; space : space }
       (** a connectivity value loaded from [table], indexing an array
           over [space] *)
-  | Loaded_stride of { table : string; space : space; width : int }
-      (** width * (value loaded from [table]) + k, k < width *)
 
 let index_name = function
   | Iter -> "i"
@@ -39,8 +38,6 @@ let index_name = function
   | Row offs -> Printf.sprintf "j in %s row" offs
   | Stride w -> Printf.sprintf "%d*i+k" w
   | Loaded { table; _ } -> Printf.sprintf "%s[.]" table
-  | Loaded_stride { table; width; _ } ->
-      Printf.sprintf "%d*%s[.]+k" width table
 
 type array_class =
   | Csr_offsets  (** a row-offsets table of the CSR view *)
@@ -120,11 +117,6 @@ let obligations (s : site) =
   | Stride width ->
       [ Strided_ok { table = s.s_array; space = s.s_loop; width } ]
   | Loaded { table; space } -> In_range_ok { table; space } :: target_sized space
-  | Loaded_stride { table; space; width } ->
-      [
-        In_range_ok { table; space };
-        Strided_ok { table = s.s_array; space; width };
-      ]
 
 (* --- the catalog -------------------------------------------------------- *)
 
@@ -219,14 +211,10 @@ let catalog =
         site "h_vertex_at" Vertices "area_triangle" Geometry `Get Iter;
         site "h_vertex" Vertices "out" Field `Set Iter;
       ];
-      (* E: Operators.pv_cell_at — the kite lookup loads a vertex id
-         from the cell row, then walks that vertex's three slots. *)
-      cell_row "pv_cell_at" [ "cell_vertices" ];
+      (* E: Operators.pv_cell_at — the corner kites sit in the cell row
+         beside the corner ids. *)
+      cell_row "pv_cell_at" [ "cell_vertices"; "cell_kite_areas" ];
       [
-        site "pv_cell_at" Cells "vertex_cells" Csr_table `Get
-          (Loaded_stride { table = "cell_vertices"; space = Vertices; width = 3 });
-        site "pv_cell_at" Cells "vertex_kite_areas" Csr_table `Get
-          (Loaded_stride { table = "cell_vertices"; space = Vertices; width = 3 });
         via "pv_cell_at" Cells "pv_vertex" "cell_vertices" Vertices;
         site "pv_cell_at" Cells "area_cell" Geometry `Get Iter;
         site "pv_cell" Cells "out" Field `Set Iter;
@@ -340,6 +328,11 @@ let catalog =
         site "pv_edge_chain" Edges "v_tangential" Field `Get Iter;
         site "pv_edge_chain" Edges "out" Field `Set Iter;
       ];
+      (* A4: Reconstruct.cartesian_at — the coefficient rows of the
+         mesh's reconstruction table are aligned with cell_edges.  X6
+         (horizontal_at) indexes its east/north bases checked. *)
+      cell_row "cartesian_at" [ "cell_edges"; "coef_x"; "coef_y"; "coef_z" ];
+      [ via "cartesian_at" Cells "u" "cell_edges" Edges ];
       (* Refactor.edge_to_cell_csr *)
       cell_row "edge_to_cell_csr" [ "cell_edge_signs"; "cell_edges" ];
       [
@@ -397,7 +390,10 @@ let audit_site errors s =
 
 let audit ?csr (m : Mesh.t) =
   let csr = match csr with Some c -> c | None -> Mesh.csr m in
-  let errors = Mesh.Csr.validate m csr in
+  let errors =
+    Mesh.Csr.validate m csr
+    @ Mesh.Csr.validate_recon csr (Mesh.recon_coeffs m)
+  in
   List.map (audit_site errors) catalog
 
 let refuted reports =
@@ -457,6 +453,10 @@ let table_len (m : Mesh.t) (csr : Mesh.csr) name =
   | None -> (
       match name with
       | "cell_edge_signs" -> Some (Array.length csr.Mesh.cell_edge_signs)
+      | "cell_kite_areas" -> Some (Array.length csr.Mesh.cell_kite_areas)
+      | "coef_x" -> Some (Array.length (Mesh.recon_coeffs m).coef_x)
+      | "coef_y" -> Some (Array.length (Mesh.recon_coeffs m).coef_y)
+      | "coef_z" -> Some (Array.length (Mesh.recon_coeffs m).coef_z)
       | "vertex_edge_signs" -> Some (Array.length csr.Mesh.vertex_edge_signs)
       | "vertex_kite_areas" -> Some (Array.length csr.Mesh.vertex_kite_areas)
       | "eoe_weights" -> Some (Array.length csr.Mesh.eoe_weights)
@@ -530,20 +530,7 @@ let interpret_site (m : Mesh.t) (csr : Mesh.csr) s =
       | Some tbl ->
           let ns = space_size m space in
           let b = min ns (target_bound ~guarded:ns) in
-          if !problem = None then Array.iter (fun v -> touch b v) tbl)
-  | Loaded_stride { table; space; width } -> (
-      match int_table csr table with
-      | None -> flag ("table " ^ table ^ " does not resolve on this mesh")
-      | Some tbl ->
-          let ns = space_size m space in
-          let b = min (width * ns) (target_bound ~guarded:(width * ns)) in
-          if !problem = None then
-            Array.iter
-              (fun v ->
-                for kk = 0 to width - 1 do
-                  touch b ((width * v) + kk)
-                done)
-              tbl));
+          if !problem = None then Array.iter (fun v -> touch b v) tbl));
   { cv_site = s; cv_hits = !hits; cv_oob = !oob; cv_problem = !problem }
 
 let coverage ?csr ?(sites = catalog) (m : Mesh.t) =
@@ -661,6 +648,7 @@ let scan_file ~prefix path =
 let default_sources ~root =
   [
     ("", Filename.concat root "lib/swe/operators.ml");
+    ("", Filename.concat root "lib/swe/reconstruct.ml");
     ("", Filename.concat root "lib/patterns/refactor.ml");
   ]
 

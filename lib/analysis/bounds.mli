@@ -1,12 +1,15 @@
 (** Bounds auditor for the unsafe-indexed CSR fast paths.
 
     Every [Array.unsafe_get/set] site in [Mpas_swe.Operators]'s CSR
-    kernels (and [Mpas_patterns.Refactor.edge_to_cell_csr]) is
-    catalogued with the shape of its index expression.  Each shape
-    yields proof obligations — CSR invariants such as offset
-    monotonicity, in-range connectivity entries, and exact table
-    lengths — that are discharged against {!Mesh.Csr.validate}: a clean
-    validation proves every unsafe index in bounds.
+    kernels, [Mpas_swe.Reconstruct]'s A4 cell rows and
+    [Mpas_patterns.Refactor.edge_to_cell_csr] is catalogued with the
+    shape of its index expression.  Each shape yields proof obligations
+    — CSR invariants such as offset monotonicity, in-range connectivity
+    entries, and exact table lengths — that are discharged against
+    {!Mesh.Csr.validate} and, for the reconstruction coefficients,
+    {!Mesh.Csr.validate_recon}: a clean validation proves every unsafe
+    index in bounds.  [Reconstruct] checks at entry that the table it
+    is handed has the lengths of the mesh's own.
 
     Caller-provided field arrays are covered by the [check_len] guards
     at kernel entry; those appear as explicit [Guarded_len]
@@ -35,7 +38,6 @@ type index =
   | Row of string
   | Stride of int
   | Loaded of { table : string; space : space }
-  | Loaded_stride of { table : string; space : space; width : int }
 
 val index_name : index -> string
 

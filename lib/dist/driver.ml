@@ -58,6 +58,7 @@ let run t ~steps =
   done
 
 let of_state ?(config = Config.default) ~n_ranks ~dt ~b m state =
+  Model.check_inputs ~who:"Driver.of_state" m ~dt ~b state;
   let part = Mpas_partition.Partition.sfc m ~n_parts:n_ranks in
   let exchange = Exchange.build m part in
   let n_tracers = Fields.n_tracers state in

@@ -45,7 +45,8 @@ val init :
   ?config:Config.t -> ?dt:float -> ?tracers:float array array ->
   n_ranks:int -> Williamson.case -> Mesh.t -> t
 
-(** Initialize from explicit fields (copied to every rank). *)
+(** Initialize from explicit fields (copied to every rank), after
+    [Model.check_inputs]. *)
 val of_state :
   ?config:Config.t ->
   n_ranks:int ->

@@ -284,6 +284,7 @@ let of_triangulation ?(radius = Sphere.earth_radius)
     boundary_edge = Array.make n_edges false;
     has_boundary = false;
     csr_cache = None;
+    recon_cache = None;
   }
   in
   (* Build (and validate) the packed connectivity view up front so the

@@ -8,6 +8,7 @@ type csr = {
   cell_neighbors : int array;
   cell_vertices : int array;
   cell_edge_signs : float array;
+  cell_kite_areas : float array;
   vertex_edges : int array;
   vertex_cells : int array;
   vertex_kite_areas : float array;
@@ -61,6 +62,7 @@ type t = {
   boundary_edge : bool array;
   has_boundary : bool;
   mutable csr_cache : csr option;
+  mutable recon_cache : Recon_coeffs.t option;
 }
 
 let domain_area t =
@@ -126,6 +128,9 @@ let build_csr t =
     cell_neighbors = flatten 0 cell_offsets t.cells_on_cell;
     cell_vertices = flatten 0 cell_offsets t.vertices_on_cell;
     cell_edge_signs = flatten 0. cell_offsets t.edge_sign_on_cell;
+    (* filled by [csr] once the back link is validated *)
+    cell_kite_areas =
+      Array.make cell_offsets.(Array.length cell_offsets - 1) 0.;
     vertex_edges =
       flatten 0 (flatten_offsets t.edges_on_vertex) t.edges_on_vertex;
     vertex_cells =
@@ -254,6 +259,7 @@ module Csr = struct
     check_flat "cell_neighbors" c.cell_neighbors c.cell_offsets;
     check_flat "cell_vertices" c.cell_vertices c.cell_offsets;
     check_flat "cell_edge_signs" c.cell_edge_signs c.cell_offsets;
+    check_flat "cell_kite_areas" c.cell_kite_areas c.cell_offsets;
     check_flat "eoe_edges" c.eoe_edges c.eoe_offsets;
     check_flat "eoe_weights" c.eoe_weights c.eoe_offsets;
     (* The row-per-entity mesh tables the CSR view was flattened from. *)
@@ -291,8 +297,8 @@ module Csr = struct
     check_len "dv_edge" t.dv_edge t.n_edges;
     check_len "area_cell" t.area_cell t.n_cells;
     check_len "area_triangle" t.area_triangle t.n_vertices;
-    (* Reverse link used by the pv_cell kite lookup: every vertex of a
-       cell must list that cell among its three. *)
+    (* Reverse link through which [cell_kite_areas] is filled: every
+       vertex of a cell must list that cell among its three. *)
     if !errors = [] then
       for cl = 0 to t.n_cells - 1 do
         for j = c.cell_offsets.(cl) to c.cell_offsets.(cl + 1) - 1 do
@@ -306,9 +312,38 @@ module Csr = struct
         done
       done;
     List.rev !errors
+
+  let validate_recon (c : csr) (r : Recon_coeffs.t) =
+    let n_cells = Array.length c.cell_offsets - 1 in
+    List.filter_map
+      (fun (table, a, expected) ->
+        if Array.length a = expected then None
+        else Some (Length_mismatch { table; got = Array.length a; expected }))
+      [
+        ("coef_x", r.coef_x, Array.length c.cell_edges);
+        ("coef_y", r.coef_y, Array.length c.cell_edges);
+        ("coef_z", r.coef_z, Array.length c.cell_edges);
+        ("east", r.east, 3 * n_cells);
+        ("north", r.north, 3 * n_cells);
+      ]
 end
 
 let csr_errors t (c : csr) = List.map Csr.message (Csr.validate t c)
+
+(* Each cell-row slot takes the kite of its vertex's slot that links back
+   to the cell; [Csr.validate] has proved that one of the three does. *)
+let fill_cell_kite_areas (c : csr) =
+  for cl = 0 to Array.length c.cell_offsets - 2 do
+    for j = c.cell_offsets.(cl) to c.cell_offsets.(cl + 1) - 1 do
+      let b = 3 * c.cell_vertices.(j) in
+      let k =
+        if c.vertex_cells.(b) = cl then b
+        else if c.vertex_cells.(b + 1) = cl then b + 1
+        else b + 2
+      in
+      c.cell_kite_areas.(j) <- c.vertex_kite_areas.(k)
+    done
+  done
 
 let csr t =
   match t.csr_cache with
@@ -319,8 +354,32 @@ let csr t =
       | [] -> ()
       | errs ->
           invalid_arg ("Mesh.csr: invalid mesh: " ^ String.concat "; " errs));
+      fill_cell_kite_areas c;
       t.csr_cache <- Some c;
       c
+
+(* Domains racing on first use may each compute the table; the results
+   are equal, so whichever write lands last is as good as the other.  The
+   table is sized from the view's own rows, so it fits them by
+   construction ([Csr.validate_recon] is the bounds auditor's check). *)
+let recon_coeffs t =
+  match t.recon_cache with
+  | Some r -> r
+  | None ->
+      let c = csr t in
+      let r =
+        Recon_coeffs.compute
+          {
+            Recon_coeffs.sphere =
+              (match t.geometry with Sphere _ -> true | Plane _ -> false);
+            x_cell = t.x_cell;
+            edge_normal = t.edge_normal;
+            cell_offsets = c.cell_offsets;
+            cell_edges = c.cell_edges;
+          }
+      in
+      t.recon_cache <- Some r;
+      r
 
 (* --- invariant checking ------------------------------------------------ *)
 

@@ -39,13 +39,20 @@ type geometry =
     x.(offsets.(i+1) - 1)].  Fixed-degree families are flat with an
     implicit stride: 3 entries per vertex, 2 per edge.  Entries are in
     the exact order of the corresponding ragged arrays, so a flat index
-    [offsets.(i) + j] aliases ragged element [(i, j)]. *)
+    [offsets.(i) + j] aliases ragged element [(i, j)].
+    [cell_kite_areas] is derived rather than flattened: slot [j] of cell
+    [c] holds the kite area of corner [cell_vertices.(j)] that belongs
+    to [c], found once through the validated back link
+    ([vertex_cells]), so E sums its cell row without a search. *)
 type csr = {
   cell_offsets : int array;  (** [n_cells + 1] row starts *)
   cell_edges : int array;  (** [edges_on_cell], packed *)
   cell_neighbors : int array;  (** [cells_on_cell], packed *)
   cell_vertices : int array;  (** [vertices_on_cell], packed *)
   cell_edge_signs : float array;  (** [edge_sign_on_cell], packed *)
+  cell_kite_areas : float array;
+      (** [kite_areas_on_vertex] of each cell corner, packed like
+          [cell_edge_signs] and aligned with [cell_vertices] *)
   vertex_edges : int array;  (** [edges_on_vertex], stride 3 *)
   vertex_cells : int array;  (** [cells_on_vertex], stride 3 *)
   vertex_kite_areas : float array;  (** [kite_areas_on_vertex], stride 3 *)
@@ -110,6 +117,9 @@ type t = {
       (** memoized {!csr} view; builders initialize it eagerly, meshes
           deserialized or assembled by hand start at [None] and build on
           first use *)
+  mutable recon_cache : Recon_coeffs.t option;
+      (** memoized {!recon_coeffs} table; every constructor starts it at
+          [None], and record copies made after first use share it *)
 }
 
 (** Total area of the domain: [4 pi r^2] for a sphere, [lx * ly] for a
@@ -165,8 +175,8 @@ module Csr : sig
     | Out_of_range of { table : string; pos : int; got : int; bound : int }
         (** a connectivity entry indexes outside its target space *)
     | Missing_back_link of { vertex : int; cell : int }
-        (** a cell's vertex does not list the cell among its three
-            (breaks the pv_cell kite lookup) *)
+        (** a cell's vertex does not list the cell among its three, so
+            [cell_kite_areas] has no kite to take for that corner *)
 
   (** The table an error is about, if any. *)
   val error_table : error -> string option
@@ -181,7 +191,20 @@ module Csr : sig
       cell's vertices link back to the cell.  Empty for a well-formed
       mesh. *)
   val validate : t -> csr -> error list
+
+  (** Length checks of a reconstruction table against the cell rows of
+      the view: [coef_x/y/z] aligned with [cell_edges], [east]/[north]
+      3 entries per cell.  Errors name the table ([coef_x], ...). *)
+  val validate_recon : csr -> Recon_coeffs.t -> error list
 end
 
 (** {!Csr.validate} rendered as strings, for error reporting. *)
 val csr_errors : t -> csr -> string list
+
+(** The least-squares reconstruction coefficients of the mesh (A4/X6),
+    computed from the {!csr} rows on first use and memoized on the mesh,
+    so every model on one mesh shares one table.  Not process-global: a
+    table lives and dies with its mesh.  Two domains racing on first use
+    may both compute it; the results are equal.  The table is sized
+    from the view's rows, so {!Csr.validate_recon} holds for it. *)
+val recon_coeffs : t -> Recon_coeffs.t

@@ -208,6 +208,7 @@ let of_string s =
     f_cell; f_edge; f_vertex; boundary_edge;
     has_boundary = Array.exists Fun.id boundary_edge;
     csr_cache = None;
+    recon_cache = None;
   }
 
 let save m path =

@@ -184,6 +184,7 @@ let create ?(f = 0.) ~nx ~ny ~dc () =
     boundary_edge = Array.make n_edges false;
     has_boundary = false;
     csr_cache = None;
+    recon_cache = None;
   }
   in
   ignore (Mesh.csr m : Mesh.csr);

@@ -13,8 +13,26 @@ type t = {
   mutable steps_taken : int;
 }
 
+let check_inputs ~who (mesh : Mesh.t) ~dt ~b (state : Fields.state) =
+  let counted what got expected =
+    if got <> expected then
+      invalid_arg
+        (Printf.sprintf "%s: %s (got %d, expected %d)" who what got expected)
+  in
+  counted "state.h cells" (Array.length state.h) mesh.n_cells;
+  counted "state.u edges" (Array.length state.u) mesh.n_edges;
+  Array.iteri
+    (fun k row ->
+      counted (Printf.sprintf "tracer row %d cells" k) (Array.length row)
+        mesh.n_cells)
+    state.tracers;
+  counted "b cells" (Array.length b) mesh.n_cells;
+  if not (dt > 0.) then
+    invalid_arg (Printf.sprintf "%s: dt = %g, need > 0" who dt)
+
 let of_state ?(config = Config.default) ?(engine = Timestep.refactored) ~dt ~b
     mesh state =
+  check_inputs ~who:"Model.of_state" mesh ~dt ~b state;
   let t =
     {
       mesh;

@@ -29,7 +29,16 @@ val init :
   Mesh.t ->
   t
 
-(** Initialization from explicit fields (copied). *)
+(** Raise [Invalid_argument] ["<who>: <what> (got n, expected m)"]
+    unless [state.h], every tracer row and [b] have one entry per cell
+    and [state.u] one per edge, or ["<who>: dt = x, need > 0"] unless
+    [dt > 0].  The entry check of {!of_state} and
+    [Mpas_dist.Driver.of_state]. *)
+val check_inputs :
+  who:string -> Mesh.t -> dt:float -> b:float array -> Fields.state -> unit
+
+(** Initialization from explicit fields (copied).  Inputs are checked
+    by {!check_inputs} before anything is allocated. *)
 val of_state :
   ?config:Config.t ->
   ?engine:Timestep.engine ->

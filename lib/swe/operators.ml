@@ -281,24 +281,15 @@ let pv_vertex ?pool ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
   iter pool ?on m.n_vertices (fun v ->
       out.(v) <- (m.f_vertex.(v) +. vorticity.(v)) /. h_vertex.(v))
 
-let[@inline always] pv_cell_at cell_offsets cell_vertices vertex_cells
-    vertex_kite_areas area_cell pv_vertex c =
-  let j0 = Array.unsafe_get cell_offsets c
-  and j1 = Array.unsafe_get cell_offsets (c + 1) in
+let[@inline always] pv_cell_at cell_offsets cell_vertices cell_kite_areas
+    area_cell pv_vertex c =
   let acc = ref 0. in
-  for j = j0 to j1 - 1 do
-    let v = Array.unsafe_get cell_vertices j in
-    let b = 3 * v in
-    (* The reverse link is validated by [Mesh.csr], so the third slot
-       is implied when the first two miss. *)
-    let k =
-      if Array.unsafe_get vertex_cells b = c then b
-      else if Array.unsafe_get vertex_cells (b + 1) = c then b + 1
-      else b + 2
-    in
+  for j = Array.unsafe_get cell_offsets c
+      to Array.unsafe_get cell_offsets (c + 1) - 1 do
     acc :=
       !acc
-      +. (Array.unsafe_get vertex_kite_areas k *. Array.unsafe_get pv_vertex v)
+      +. (Array.unsafe_get cell_kite_areas j
+          *. Array.unsafe_get pv_vertex (Array.unsafe_get cell_vertices j))
   done;
   !acc /. Array.unsafe_get area_cell c
 
@@ -309,14 +300,13 @@ let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
   check_on "pv_cell" on m.n_cells;
   let cell_offsets = csr.cell_offsets
   and cell_vertices = csr.cell_vertices
-  and vertex_cells = csr.vertex_cells
-  and vertex_kite_areas = csr.vertex_kite_areas in
+  and cell_kite_areas = csr.cell_kite_areas in
   let area_cell = m.area_cell in
   range pool ?on m.n_cells (fun ~lo ~hi ->
       for c = lo to hi - 1 do
         Array.unsafe_set out c
-          (pv_cell_at cell_offsets cell_vertices vertex_cells vertex_kite_areas
-             area_cell pv_vertex c)
+          (pv_cell_at cell_offsets cell_vertices cell_kite_areas area_cell
+             pv_vertex c)
       done)
 
 let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =

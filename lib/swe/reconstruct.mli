@@ -2,18 +2,20 @@
     vector at cell centers from edge-normal components (instances A4
     and X6 of Table I).
 
-    At initialization, each cell gets coefficient vectors [coef_j] such
-    that the reconstructed Cartesian velocity is
+    Each cell has coefficient vectors [coef_j], one per slot of its CSR
+    cell row, such that the reconstructed Cartesian velocity is
     [V(c) = sum_j u(e_j) coef_j] — a tangent-plane-constrained
     least-squares fit through the edge normals, the role played by RBF
-    coefficients in MPAS. *)
+    coefficients in MPAS ({!Mpas_mesh.Recon_coeffs}). *)
 
 open Mpas_mesh
 open Mpas_par
 
 type t
 
-(** Precompute the per-cell coefficients. *)
+(** The mesh's reconstruction table, {!Mesh.recon_coeffs}: computed on
+    the first call for a mesh and shared by every later one, so two
+    calls on one mesh return the same (physically equal) table. *)
 val init : Mesh.t -> t
 
 (** A4: fill [out.ux/uy/uz] with the Cartesian reconstruction; X6:
@@ -30,9 +32,11 @@ val run :
     bit-identical to {!run}.  All three run the same per-cell bodies,
     with the Vec3 arithmetic scalarized so nothing allocates per cell,
     over the full cell range or the span set [on]; [run] on a runtime
-    tile is the fused A4 [+X6] chain.  Raises [Invalid_argument] when
-    [u] is shorter than the edge count or [on] reaches past the cell
-    range. *)
+    tile is the fused A4 [+X6] chain.  A4 walks the mesh's CSR cell
+    rows ([cell_offsets]/[cell_edges]) alongside the flat coefficients.
+    Raises [Invalid_argument] when [u] is shorter than the edge count,
+    the table does not fit the mesh's cell rows, or [on] reaches past
+    the cell range. *)
 val run_cartesian :
   ?pool:Pool.t -> ?on:Span.t -> t -> Mesh.t -> u:float array ->
   out:Fields.reconstruction -> unit

@@ -332,6 +332,112 @@ let test_battery_poison () =
         (battery_configs m))
     (battery_cases ())
 
+(* Models on a mesh whose reconstruction table an earlier model built
+   run bitwise like the same models on a fresh deserialized copy, which
+   builds its own table: the shared table carries nothing stale.  The
+   reconstructed velocities are compared too, since they feed no
+   tendency. *)
+let test_shared_table_matches_fresh () =
+  let m = Williamson.prepare_mesh Williamson.Tc5 (Lazy.force ico_small) in
+  let earlier = Model.init Williamson.Tc5 m in
+  Model.run earlier ~steps:1;
+  let fresh = Mesh_io.of_string (Mesh_io.to_string m) in
+  Alcotest.(check bool) "later models share the table" true
+    (Reconstruct.init m == earlier.Model.recon);
+  Alcotest.(check bool) "the fresh copy has none yet" true
+    (fresh.Mesh.recon_cache = None);
+  let state, b = Williamson.init Williamson.Tc5 m in
+  let dt = Williamson.recommended_dt Williamson.Tc5 m in
+  let same what a b =
+    Alcotest.(check bool) what true
+      (Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b)
+  in
+  let recon_fields (r : Fields.reconstruction) =
+    [ r.Fields.ux; r.Fields.uy; r.Fields.uz; r.Fields.zonal; r.Fields.meridional ]
+  in
+  let solo mesh =
+    let t = Model.of_state ~dt ~b mesh state in
+    Model.run t ~steps:3;
+    t
+  in
+  let a = solo m and f = solo fresh in
+  same "model h" a.Model.state.Fields.h f.Model.state.Fields.h;
+  same "model u" a.Model.state.Fields.u f.Model.state.Fields.u;
+  List.iter2 (same "model reconstruction")
+    (recon_fields a.Model.work.Timestep.recon)
+    (recon_fields f.Model.work.Timestep.recon);
+  let dist mesh =
+    let d = Driver.of_state ~n_ranks:3 ~dt ~b mesh state in
+    Driver.run d ~steps:3;
+    d
+  in
+  let a = dist m and f = dist fresh in
+  same "driver h" (Driver.gather_state a).Fields.h (Driver.gather_state f).Fields.h;
+  same "driver u" (Driver.gather_state a).Fields.u (Driver.gather_state f).Fields.u;
+  Array.iteri
+    (fun r (rank : Timestep.rank) ->
+      List.iter2
+        (fun x y ->
+          Span.iter
+            (fun c ->
+              if Int64.bits_of_float x.(c) <> Int64.bits_of_float y.(c) then
+                Alcotest.failf "driver reconstruction: rank %d cell %d" r c)
+            rank.Timestep.cells)
+        (recon_fields rank.Timestep.work.Timestep.recon)
+        (recon_fields f.Driver.ranks.(r).Timestep.work.Timestep.recon))
+    a.Driver.ranks
+
+(* Both constructors check their inputs against the mesh before anything
+   is built: one case per kind of bad input, on the 162-cell mesh. *)
+let entry_cases who (make : dt:float -> b:float array -> Fields.state -> unit)
+    =
+  let m = Lazy.force ico_small in
+  let nc = m.Mesh.n_cells and ne = m.Mesh.n_edges in
+  let state = { Fields.h = Array.make nc 1000.; u = Array.make ne 0.; tracers = [||] } in
+  let b = Array.make nc 0. in
+  let rejects inputs expected () =
+    List.iter2
+      (fun (dt, b, state) expected ->
+        match make ~dt ~b state with
+        | () -> Alcotest.failf "%s accepted: %s" who expected
+        | exception Invalid_argument msg ->
+            Alcotest.(check string) "message" (who ^ ": " ^ expected) msg)
+      inputs expected
+  in
+  let counted what got expected =
+    Printf.sprintf "%s (got %d, expected %d)" what got expected
+  in
+  [
+    ( who ^ " b length",
+      rejects [ (60., Array.make 10 0., state) ] [ counted "b cells" 10 nc ] );
+    ( who ^ " dt <= 0",
+      rejects
+        [ (-1., b, state); (0., b, state); (Float.nan, b, state) ]
+        [ "dt = -1, need > 0"; "dt = 0, need > 0"; "dt = nan, need > 0" ] );
+    ( who ^ " h and u lengths",
+      rejects
+        [
+          (60., b, { state with Fields.h = Array.make (nc - 1) 1000. });
+          (60., b, { state with Fields.u = Array.make (ne + 1) 0. });
+        ]
+        [ counted "state.h cells" (nc - 1) nc; counted "state.u edges" (ne + 1) ne ]
+    );
+    ( who ^ " tracer row length",
+      rejects
+        [ (60., b, { state with Fields.tracers = [| Array.make nc 1.; Array.make 5 1. |] }) ]
+        [ counted "tracer row 1 cells" 5 nc ] );
+  ]
+
+let entry_check_tests =
+  List.map
+    (fun (name, f) -> Alcotest.test_case name `Quick f)
+    (entry_cases "Model.of_state" (fun ~dt ~b s ->
+         ignore (Model.of_state ~dt ~b (Lazy.force ico_small) s : Model.t))
+    @ entry_cases "Driver.of_state" (fun ~dt ~b s ->
+          ignore
+            (Driver.of_state ~n_ranks:2 ~dt ~b (Lazy.force ico_small) s
+              : Driver.t)))
+
 (* The owned span sets of all ranks tile [0, n) of each space exactly
    once. *)
 let test_owned_spans_tile () =
@@ -628,7 +734,10 @@ let () =
             test_battery_poison;
           Alcotest.test_case "owned spans tile the spaces" `Quick
             test_owned_spans_tile;
+          Alcotest.test_case "shared recon table = fresh mesh" `Quick
+            test_shared_table_matches_fresh;
         ] );
+      ("entry checks", entry_check_tests);
       ( "overlapped driver",
         [
           Alcotest.test_case "exchange arity message" `Quick

@@ -314,6 +314,26 @@ let test_over_relaxation_accelerates () =
 
 (* --- packed CSR view -------------------------------------------------------- *)
 
+(* Each cell-row kite is the ragged [kite_areas_on_vertex] entry of the
+   vertex slot that links back to the cell, bit for bit. *)
+let check_cell_kites name (m : Mesh.t) =
+  let csr = Mesh.csr m in
+  Alcotest.(check int)
+    (name ^ ": one kite per cell corner")
+    (Array.length csr.cell_vertices)
+    (Array.length csr.cell_kite_areas);
+  for c = 0 to m.n_cells - 1 do
+    Array.iteri
+      (fun j v ->
+        let k = Mesh_index.local_index m.cells_on_vertex.(v) c in
+        let want = m.kite_areas_on_vertex.(v).(k) in
+        let got = csr.cell_kite_areas.(csr.cell_offsets.(c) + j) in
+        if Int64.bits_of_float got <> Int64.bits_of_float want then
+          Alcotest.failf "%s: cell %d corner %d kite %h, expected %h" name c j
+            got want)
+      m.vertices_on_cell.(c)
+  done
+
 let check_csr_view name (m : Mesh.t) =
   let csr = Mesh.csr m in
   Alcotest.(check (list string)) (name ^ ": no CSR violations") []
@@ -370,6 +390,7 @@ let check_csr_view name (m : Mesh.t) =
   strided "edge_sign_on_vertex" csr.vertex_edge_signs 3 m.edge_sign_on_vertex;
   strided "cells_on_edge" csr.edge_cells 2 m.cells_on_edge;
   strided "vertices_on_edge" csr.edge_vertices 2 m.vertices_on_edge;
+  check_cell_kites name m;
   (* Memoized: the builders construct the view eagerly and [Mesh.csr]
      must keep returning that same value. *)
   Alcotest.(check bool) (name ^ ": memoized") true (Mesh.csr m == csr)
@@ -412,6 +433,63 @@ let test_csr_validate_typed () =
           Alcotest.(check int) "bound" m.Mesh.n_edges bound
       | _ -> Alcotest.fail ("unexpected error: " ^ Mesh.Csr.message e))
     errors
+
+let test_cell_kite_areas_bounded () =
+  let hex = Lazy.force hex in
+  let bounded = Mesh.with_boundary_edges hex (fun e -> e mod 7 = 0) in
+  Alcotest.(check bool) "hex copy is bounded" true bounded.has_boundary;
+  check_cell_kites "bounded hex" bounded
+
+let test_missing_back_link_typed () =
+  let m = Lazy.force hex in
+  let csr = Mesh.csr m in
+  (* Point vertex 0's first slot at a cell that is not one of its own
+     and does not have vertex 0 as a corner: only the old cell loses
+     its back link. *)
+  let own = csr.vertex_cells.(0) in
+  let stranger =
+    let rec find c =
+      if Array.mem c m.cells_on_vertex.(0) || Array.mem 0 m.vertices_on_cell.(c)
+      then find (c + 1)
+      else c
+    in
+    find 0
+  in
+  let bad = { csr with Mesh.vertex_cells = Array.copy csr.vertex_cells } in
+  bad.vertex_cells.(0) <- stranger;
+  (match Mesh.Csr.validate m bad with
+  | [ Mesh.Csr.Missing_back_link { vertex; cell } ] ->
+      Alcotest.(check (pair int int)) "vertex and cell" (0, own) (vertex, cell)
+  | errs ->
+      Alcotest.failf "expected one Missing_back_link, got [%s]"
+        (String.concat "; " (List.map Mesh.Csr.message errs)));
+  (* the same corruption in the ragged tables stops the view being
+     built, so no kite table is filled from it *)
+  let cells_on_vertex = Array.map Array.copy m.cells_on_vertex in
+  cells_on_vertex.(0).(0) <- stranger;
+  let broken = { m with cells_on_vertex; csr_cache = None; recon_cache = None } in
+  match Mesh.csr broken with
+  | _ -> Alcotest.fail "Mesh.csr accepted a missing back link"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message"
+        (Printf.sprintf
+           "Mesh.csr: invalid mesh: vertex 0 does not list cell %d back"
+           own)
+        msg
+
+(* The reconstruction table is per mesh: built once, fitted to the CSR
+   rows, and rebuilt (equal, not shared) for a deserialized mesh. *)
+let test_recon_table_per_mesh () =
+  let m = Lazy.force ico3 in
+  let r = Mesh.recon_coeffs m in
+  Alcotest.(check bool) "memoized" true (Mesh.recon_coeffs m == r);
+  let m' = Mesh_io.of_string (Mesh_io.to_string m) in
+  Alcotest.(check bool) "io copy starts empty" true (m'.recon_cache = None);
+  let r' = Mesh.recon_coeffs m' in
+  Alcotest.(check bool) "io copy rebuilds its own" true (r' != r);
+  Alcotest.(check bool) "rebuilt table equal" true (r' = r);
+  Alcotest.(check (list string)) "fits the view" []
+    (List.map Mesh.Csr.message (Mesh.Csr.validate_recon (Mesh.csr m') r'))
 
 (* --- mesh I/O ------------------------------------------------------------- *)
 
@@ -682,6 +760,12 @@ let () =
             test_csr_validate_typed;
           Alcotest.test_case "rebuilt after io" `Quick
             test_csr_rebuilt_after_io;
+          Alcotest.test_case "bounded hex kites" `Quick
+            test_cell_kite_areas_bounded;
+          Alcotest.test_case "missing back link typed" `Quick
+            test_missing_back_link_typed;
+          Alcotest.test_case "recon table per mesh" `Quick
+            test_recon_table_per_mesh;
         ] );
       ( "multiresolution",
         [

@@ -292,6 +292,29 @@ let test_reconstruct_solid_body_sphere () =
     true
     (Stats.mean errs < 0.02 *. om)
 
+(* One table per mesh: every [init] returns it, and copies made after
+   first use share it. *)
+let test_reconstruct_table_shared () =
+  let m = Lazy.force ico in
+  let r = Reconstruct.init m in
+  Alcotest.(check bool) "second init" true (Reconstruct.init m == r);
+  Alcotest.(check bool) "with_boundary_edges copy" true
+    (Reconstruct.init (Mesh.with_boundary_edges m (fun e -> e = 0)) == r);
+  Alcotest.(check bool) "with_coriolis copy" true
+    (Reconstruct.init (Mesh.with_coriolis m (fun _ -> 1e-4)) == r)
+
+(* A table handed to the wrong mesh is refused before any unchecked
+   read. *)
+let test_reconstruct_foreign_table () =
+  let ico = Lazy.force ico and hex = Lazy.force hex in
+  let u = Array.make hex.n_edges 1. in
+  match
+    Reconstruct.run (Reconstruct.init ico) hex ~u
+      ~out:(Fields.alloc_reconstruction hex)
+  with
+  | () -> Alcotest.fail "foreign table accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- full model behaviour --------------------------------------------------- *)
 
 let test_tc2_steady () =
@@ -1644,6 +1667,10 @@ let () =
           Alcotest.test_case "uniform hex" `Quick test_reconstruct_uniform_flow_hex;
           Alcotest.test_case "solid body sphere" `Quick
             test_reconstruct_solid_body_sphere;
+          Alcotest.test_case "one table per mesh" `Quick
+            test_reconstruct_table_shared;
+          Alcotest.test_case "foreign table refused" `Quick
+            test_reconstruct_foreign_table;
         ] );
       ( "model",
         [
