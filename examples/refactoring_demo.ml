@@ -47,13 +47,15 @@ let () =
     (Stats.max_abs_diff y_scatter y_gather)
     (Stats.max_abs_diff y_gather y_branch_free);
 
-  (* The label matrix is exactly the mesh's edge_sign_on_cell array —
-     the paper's L(i,j) in Algorithm 4. *)
+  (* The label matrix is exactly the mesh's packed cell_edge_signs row
+     by row — the paper's L(i,j) in Algorithm 4. *)
   let l = Refactor.labels labels in
+  let csr = mesh.csr in
   let same = ref true in
   for c = 0 to mesh.n_cells - 1 do
     for j = 0 to mesh.n_edges_on_cell.(c) - 1 do
-      if l.(c).(j) <> mesh.edge_sign_on_cell.(c).(j) then same := false
+      if l.(c).(j) <> csr.cell_edge_signs.(csr.cell_offsets.(c) + j) then
+        same := false
     done
   done;
-  Printf.printf "label matrix equals edge_sign_on_cell: %b\n" !same
+  Printf.printf "label matrix equals cell_edge_signs: %b\n" !same

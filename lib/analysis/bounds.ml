@@ -389,7 +389,7 @@ let audit_site errors s =
   { sr_site = s; sr_obligations = obl; sr_verdict = verdict }
 
 let audit ?csr (m : Mesh.t) =
-  let csr = match csr with Some c -> c | None -> Mesh.csr m in
+  let csr = match csr with Some c -> c | None -> m.Mesh.csr in
   let errors =
     Mesh.Csr.validate m csr
     @ Mesh.Csr.validate_recon csr (Mesh.recon_coeffs m)
@@ -534,7 +534,7 @@ let interpret_site (m : Mesh.t) (csr : Mesh.csr) s =
   { cv_site = s; cv_hits = !hits; cv_oob = !oob; cv_problem = !problem }
 
 let coverage ?csr ?(sites = catalog) (m : Mesh.t) =
-  let csr = match csr with Some c -> c | None -> Mesh.csr m in
+  let csr = match csr with Some c -> c | None -> m.Mesh.csr in
   List.map (interpret_site m csr) sites
 
 (* --- source scan -------------------------------------------------------- *)

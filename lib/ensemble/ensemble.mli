@@ -3,7 +3,7 @@
     arrays.
 
     One [t] owns a fixed-capacity pool of member slots over a single
-    immutable mesh (and its memoized CSR).  The layout is member-major:
+    immutable mesh (and its CSR).  The layout is member-major:
     every slot owns plain [float array] fields — its state, the RK-4
     provisional and accumulator states, both tendencies, the twelve
     Table-I diagnostics and its topography — allocated on the slot's
@@ -31,7 +31,7 @@
     perturbed Williamson cases — including the rotated Coriolis
     variants — batch together.  A member with its own Coriolis field
     runs on a copy of the engine mesh record that differs only in
-    [f_vertex] and shares the memoized CSR ({!member_mesh}).
+    [f_vertex] and shares the CSR ({!member_mesh}).
     Unsupported configuration (tracers, [visc4], non-RK4 integrators)
     is rejected at submit with counted got/expected messages, like
     [Exchange.exchange] arity errors.

@@ -35,65 +35,53 @@ let to_ocaml kernel =
     | Coef -> ( match coef with Some c -> c | None -> "(* no coef *) 1.")
     | Outer e -> go ~cursor:out_var ~coef ~root e
     | Cell1 e ->
-        go ~cursor:(Format.sprintf "m.cells_on_edge.(%s).(0)" cursor) ~coef
+        go ~cursor:(Format.sprintf "csr.edge_cells.(2 * %s)" cursor) ~coef
           ~root e
     | Cell2 e ->
-        go ~cursor:(Format.sprintf "m.cells_on_edge.(%s).(1)" cursor) ~coef
+        go ~cursor:(Format.sprintf "csr.edge_cells.(2 * %s + 1)" cursor) ~coef
           ~root e
     | Vertex1 e ->
-        go ~cursor:(Format.sprintf "m.vertices_on_edge.(%s).(0)" cursor) ~coef
+        go ~cursor:(Format.sprintf "csr.edge_vertices.(2 * %s)" cursor) ~coef
           ~root e
     | Vertex2 e ->
-        go ~cursor:(Format.sprintf "m.vertices_on_edge.(%s).(1)" cursor) ~coef
-          ~root e
+        go ~cursor:(Format.sprintf "csr.edge_vertices.(2 * %s + 1)" cursor)
+          ~coef ~root e
     | Other_cell e ->
         let other = fresh "other" in
         stmts :=
           Format.sprintf
-            "      let %s = let ce = m.cells_on_edge.(%s) in if ce.(0) = %s \
-             then ce.(1) else ce.(0) in"
-            other cursor root
+            "      let %s = if csr.edge_cells.(2 * %s) = %s then \
+             csr.edge_cells.(2 * %s + 1) else csr.edge_cells.(2 * %s) in"
+            other cursor root cursor cursor
           :: !stmts;
         go ~cursor:other ~coef ~root e
     | Sum (rel, e) ->
         let acc = fresh "acc" in
         let j = fresh "j" in
+        (* Every relation walks a run of CSR slots [j]; the slot
+           indexes the neighbour table and its coefficient table. *)
+        let rows offsets =
+          Format.sprintf "for %s = csr.%s.(%s) to csr.%s.(%s + 1) - 1 do" j
+            offsets cursor offsets cursor
+        and strided k =
+          Format.sprintf "for %s = %d * %s to %d * %s + %d do" j k cursor k
+            cursor (k - 1)
+        and slot table = Format.sprintf "csr.%s.(%s)" table j in
         let header, nbr, coef_expr =
           match rel with
           | Edges_of_cell ->
-              ( Format.sprintf
-                  "for %s = 0 to m.n_edges_on_cell.(%s) - 1 do" j cursor,
-                Format.sprintf "m.edges_on_cell.(%s).(%s)" cursor j,
-                Some (Format.sprintf "m.edge_sign_on_cell.(%s).(%s)" cursor j)
-              )
-          | Cells_of_cell ->
-              ( Format.sprintf
-                  "for %s = 0 to m.n_edges_on_cell.(%s) - 1 do" j cursor,
-                Format.sprintf "m.cells_on_cell.(%s).(%s)" cursor j,
-                None )
+              (rows "cell_offsets", slot "cell_edges",
+               Some (slot "cell_edge_signs"))
+          | Cells_of_cell -> (rows "cell_offsets", slot "cell_neighbors", None)
           | Vertices_of_cell ->
-              ( Format.sprintf
-                  "for %s = 0 to m.n_edges_on_cell.(%s) - 1 do" j cursor,
-                Format.sprintf "m.vertices_on_cell.(%s).(%s)" cursor j,
-                Some (Format.sprintf "kite_area m %s (* vertex *) %s" cursor j)
-              )
+              (rows "cell_offsets", slot "cell_vertices",
+               Some (slot "cell_kite_areas"))
           | Edges_of_vertex ->
-              ( Format.sprintf "for %s = 0 to 2 do" j,
-                Format.sprintf "m.edges_on_vertex.(%s).(%s)" cursor j,
-                Some
-                  (Format.sprintf "m.edge_sign_on_vertex.(%s).(%s)" cursor j)
-              )
+              (strided 3, slot "vertex_edges", Some (slot "vertex_edge_signs"))
           | Cells_of_vertex ->
-              ( Format.sprintf "for %s = 0 to 2 do" j,
-                Format.sprintf "m.cells_on_vertex.(%s).(%s)" cursor j,
-                Some (Format.sprintf "m.kite_areas_on_vertex.(%s).(%s)" cursor j)
-              )
+              (strided 3, slot "vertex_cells", Some (slot "vertex_kite_areas"))
           | Edges_of_edge ->
-              ( Format.sprintf
-                  "for %s = 0 to m.n_edges_on_edge.(%s) - 1 do" j cursor,
-                Format.sprintf "m.edges_on_edge.(%s).(%s)" cursor j,
-                Some (Format.sprintf "m.weights_on_edge.(%s).(%s)" cursor j)
-              )
+              (rows "eoe_offsets", slot "eoe_edges", Some (slot "eoe_weights"))
         in
         let nbr_var = fresh "n" in
         let saved = !stmts in
@@ -129,6 +117,7 @@ let to_ocaml kernel =
   let fields = String.concat " " (List.map (fun (n, _) -> "~" ^ n) kernel.reads) in
   pr "(* generated from the stencil IR: %s *)\n" kernel.kernel_name;
   pr "let kernel (m : Mesh.t) %s ~out =\n" fields;
+  pr "  let csr = m.Mesh.csr in\n";
   pr "  for %s = 0 to %s - 1 do\n" out_var out_n;
   let body = go ~cursor:out_var ~coef:None ~root:out_var kernel.body in
   List.iter (fun stmt -> pr "%s\n" stmt) (List.rev !stmts);

@@ -21,12 +21,12 @@ val space_name : space -> string
 (** Adjacency relations a [Sum] can iterate, with the coefficient that
     travels with each neighbour. *)
 type relation =
-  | Edges_of_cell  (** paired coefficient: edge_sign_on_cell *)
+  | Edges_of_cell  (** paired coefficient: cell_edge_signs *)
   | Cells_of_cell  (** aligned with Edges_of_cell; no coefficient *)
   | Vertices_of_cell  (** paired coefficient: the cell's kite area *)
-  | Edges_of_vertex  (** paired coefficient: edge_sign_on_vertex *)
-  | Cells_of_vertex  (** paired coefficient: kite_areas_on_vertex *)
-  | Edges_of_edge  (** paired coefficient: weights_on_edge *)
+  | Edges_of_vertex  (** paired coefficient: vertex_edge_signs *)
+  | Cells_of_vertex  (** paired coefficient: vertex_kite_areas *)
+  | Edges_of_edge  (** paired coefficient: eoe_weights *)
 
 (** Source and target spaces of a relation. *)
 val relation_spaces : relation -> space * space

@@ -121,7 +121,6 @@ let of_triangulation ?(radius = Sphere.earth_radius)
         edges)
   in
   let n_edges_on_cell = Array.map Array.length edges_on_cell in
-  let max_edges = Array.fold_left Int.max 0 n_edges_on_cell in
   let cells_on_cell =
     Array.mapi
       (fun c edges -> Array.map (fun e -> other_cell e c) edges)
@@ -218,79 +217,44 @@ let of_triangulation ?(radius = Sphere.earth_radius)
             if cells_on_edge.(e).(0) = c_from then 1. else -1.))
   in
 
-  (* --- TRiSK tangential-reconstruction weights -------------------------- *)
-  let edges_on_edge, weights_on_edge =
-    Trisk.weights
-      {
-        Trisk.n_edges;
-        cells_on_edge;
-        n_edges_on_cell;
-        edges_on_cell;
-        vertices_on_cell;
-        cells_on_vertex;
-        kite_areas_on_vertex;
-        area_cell;
-        dc_edge;
-        dv_edge;
-        edge_sign_on_cell;
-      }
-  in
-  let n_edges_on_edge = Array.map Array.length edges_on_edge in
-
-  (* --- coordinates and physics ------------------------------------------ *)
-  let lonlat xs = Array.map Sphere.to_lonlat xs in
-  let ll_cell = lonlat x_cell
-  and ll_edge = lonlat x_edge
-  and ll_vertex = lonlat x_vertex in
-  let m = {
-    Mesh.geometry = Mesh.Sphere radius;
-    n_cells;
-    n_edges;
-    n_vertices;
-    max_edges;
-    x_cell;
-    x_edge;
-    x_vertex;
-    lon_cell = Array.map fst ll_cell;
-    lat_cell = Array.map snd ll_cell;
-    lon_edge = Array.map fst ll_edge;
-    lat_edge = Array.map snd ll_edge;
-    lon_vertex = Array.map fst ll_vertex;
-    lat_vertex = Array.map snd ll_vertex;
-    n_edges_on_cell;
-    edges_on_cell;
-    cells_on_cell;
-    vertices_on_cell;
-    cells_on_edge;
-    vertices_on_edge;
-    edges_on_vertex;
-    cells_on_vertex;
-    n_edges_on_edge;
-    edges_on_edge;
-    weights_on_edge;
-    dc_edge;
-    dv_edge;
-    area_cell;
-    area_triangle;
-    kite_areas_on_vertex;
-    edge_normal;
-    edge_tangent;
-    angle_edge;
-    edge_sign_on_cell;
-    edge_sign_on_vertex;
-    f_cell = Array.map coriolis x_cell;
-    f_edge = Array.map coriolis x_edge;
-    f_vertex = Array.map coriolis x_vertex;
-    boundary_edge = Array.make n_edges false;
-    has_boundary = false;
-    csr_cache = None;
-    recon_cache = None;
-  }
-  in
-  (* Build (and validate) the packed connectivity view up front so the
-     unsafe-indexed kernel fast paths never race the memoization. *)
-  ignore (Mesh.csr m : Mesh.csr);
-  m
+  Mesh.make
+    {
+      Mesh.geometry = Mesh.Sphere radius;
+      n_cells;
+      n_edges;
+      n_vertices;
+      x_cell;
+      x_edge;
+      x_vertex;
+      n_edges_on_cell;
+      cell_edges = Mesh.pack edges_on_cell;
+      cell_neighbors = Mesh.pack cells_on_cell;
+      cell_vertices = Mesh.pack vertices_on_cell;
+      cell_edge_signs = Mesh.pack edge_sign_on_cell;
+      vertex_edges = Mesh.pack edges_on_vertex;
+      vertex_cells = Mesh.pack cells_on_vertex;
+      vertex_kite_areas = Mesh.pack kite_areas_on_vertex;
+      vertex_edge_signs = Mesh.pack edge_sign_on_vertex;
+      edge_cells = Mesh.pack cells_on_edge;
+      edge_vertices = Mesh.pack vertices_on_edge;
+      dc_edge;
+      dv_edge;
+      area_cell;
+      area_triangle;
+      edge_normal;
+      edge_tangent;
+      angle_edge;
+      f_cell = Array.map coriolis x_cell;
+      f_edge = Array.map coriolis x_edge;
+      f_vertex = Array.map coriolis x_vertex;
+      boundary_edge = Array.make n_edges false;
+    }
+  |> function
+  | Ok m -> m
+  | Error errors ->
+      invalid_arg
+        ("Build: invalid mesh: "
+        ^ String.concat "; " (List.map Mesh.Csr.message errors))
 
 let icosahedral ?(radius = Sphere.earth_radius) ?(omega = earth_omega)
     ?(lloyd_iters = 0) ?density ?over_relax ~level () =

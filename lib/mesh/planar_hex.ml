@@ -110,82 +110,48 @@ let create ?(f = 0.) ~nx ~ny ~dc () =
     done
   done;
 
-  let dv = dc /. sqrt 3. in
-  let hex_area = sqrt 3. /. 2. *. dc *. dc in
   let tri_area = sqrt 3. /. 4. *. dc *. dc in
-  let dc_edge = Array.make n_edges dc in
-  let dv_edge = Array.make n_edges dv in
-  let area_cell = Array.make n_cells hex_area in
-  let area_triangle = Array.make n_vertices tri_area in
-  let kite_areas_on_vertex =
-    Array.init n_vertices (fun _ -> Array.make 3 (tri_area /. 3.))
-  in
-
-  let edges_on_edge, weights_on_edge =
-    Trisk.weights
-      {
-        Trisk.n_edges;
-        cells_on_edge;
-        n_edges_on_cell = Array.make n_cells 6;
-        edges_on_cell;
-        vertices_on_cell;
-        cells_on_vertex;
-        kite_areas_on_vertex;
-        area_cell;
-        dc_edge;
-        dv_edge;
-        edge_sign_on_cell;
-      }
-  in
-
   let angle_of v = atan2 v.Vec3.y v.Vec3.x in
-  let m = {
-    Mesh.geometry =
-      Mesh.Plane
-        { lx = float_of_int nx *. dc; ly = float_of_int ny *. dc *. sqrt 3. /. 2. };
-    n_cells;
-    n_edges;
-    n_vertices;
-    max_edges = 6;
-    x_cell;
-    x_edge;
-    x_vertex;
-    (* On the plane "longitude/latitude" are just the coordinates. *)
-    lon_cell = Array.map (fun p -> p.Vec3.x) x_cell;
-    lat_cell = Array.map (fun p -> p.Vec3.y) x_cell;
-    lon_edge = Array.map (fun p -> p.Vec3.x) x_edge;
-    lat_edge = Array.map (fun p -> p.Vec3.y) x_edge;
-    lon_vertex = Array.map (fun p -> p.Vec3.x) x_vertex;
-    lat_vertex = Array.map (fun p -> p.Vec3.y) x_vertex;
-    n_edges_on_cell = Array.make n_cells 6;
-    edges_on_cell;
-    cells_on_cell;
-    vertices_on_cell;
-    cells_on_edge;
-    vertices_on_edge;
-    edges_on_vertex;
-    cells_on_vertex;
-    n_edges_on_edge = Array.map Array.length edges_on_edge;
-    edges_on_edge;
-    weights_on_edge;
-    dc_edge;
-    dv_edge;
-    area_cell;
-    area_triangle;
-    kite_areas_on_vertex;
-    edge_normal;
-    edge_tangent;
-    angle_edge = Array.map angle_of edge_normal;
-    edge_sign_on_cell;
-    edge_sign_on_vertex;
-    f_cell = Array.make n_cells f;
-    f_edge = Array.make n_edges f;
-    f_vertex = Array.make n_vertices f;
-    boundary_edge = Array.make n_edges false;
-    has_boundary = false;
-    csr_cache = None;
-    recon_cache = None;
-  }
-  in
-  ignore (Mesh.csr m : Mesh.csr);
-  m
+  Mesh.make
+    {
+      Mesh.geometry =
+        Mesh.Plane
+          {
+            lx = float_of_int nx *. dc;
+            ly = float_of_int ny *. dc *. sqrt 3. /. 2.;
+          };
+      n_cells;
+      n_edges;
+      n_vertices;
+      x_cell;
+      x_edge;
+      x_vertex;
+      n_edges_on_cell = Array.make n_cells 6;
+      cell_edges = Mesh.pack edges_on_cell;
+      cell_neighbors = Mesh.pack cells_on_cell;
+      cell_vertices = Mesh.pack vertices_on_cell;
+      cell_edge_signs = Mesh.pack edge_sign_on_cell;
+      vertex_edges = Mesh.pack edges_on_vertex;
+      vertex_cells = Mesh.pack cells_on_vertex;
+      vertex_kite_areas = Array.make (3 * n_vertices) (tri_area /. 3.);
+      vertex_edge_signs = Mesh.pack edge_sign_on_vertex;
+      edge_cells = Mesh.pack cells_on_edge;
+      edge_vertices = Mesh.pack vertices_on_edge;
+      dc_edge = Array.make n_edges dc;
+      dv_edge = Array.make n_edges (dc /. sqrt 3.);
+      area_cell = Array.make n_cells (sqrt 3. /. 2. *. dc *. dc);
+      area_triangle = Array.make n_vertices tri_area;
+      edge_normal;
+      edge_tangent;
+      angle_edge = Array.map angle_of edge_normal;
+      f_cell = Array.make n_cells f;
+      f_edge = Array.make n_edges f;
+      f_vertex = Array.make n_vertices f;
+      boundary_edge = Array.make n_edges false;
+    }
+  |> function
+  | Ok m -> m
+  | Error errors ->
+      invalid_arg
+        ("Planar_hex: invalid mesh: "
+        ^ String.concat "; " (List.map Mesh.Csr.message errors))

@@ -23,7 +23,7 @@ type input = {
   x_cell : Vec3.t array;
   edge_normal : Vec3.t array;
   cell_offsets : int array;  (** [n_cells + 1] row starts *)
-  cell_edges : int array;  (** packed [edges_on_cell] *)
+  cell_edges : int array;  (** [Mesh.csr] cell rows *)
 }
 
 val compute : input -> t

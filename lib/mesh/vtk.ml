@@ -22,10 +22,11 @@ let to_string (m : Mesh.t) fields =
     Array.fold_left (fun acc n -> acc + n + 1) 0 m.n_edges_on_cell
   in
   pr "POLYGONS %d %d\n" m.n_cells size;
+  let csr = m.csr in
   for c = 0 to m.n_cells - 1 do
     pr "%d" m.n_edges_on_cell.(c);
-    for j = 0 to m.n_edges_on_cell.(c) - 1 do
-      pr " %d" m.vertices_on_cell.(c).(j)
+    for j = csr.cell_offsets.(c) to csr.cell_offsets.(c + 1) - 1 do
+      pr " %d" csr.cell_vertices.(j)
     done;
     pr "\n"
   done;

@@ -13,11 +13,13 @@ let build (m : Mesh.t) (p : Partition.t) =
   let boundary = Array.make p.Partition.n_parts [] in
   let ghosts = Array.make p.Partition.n_parts [] in
   let neighbours = Array.make p.Partition.n_parts [] in
+  let csr = m.csr in
   for c = m.n_cells - 1 downto 0 do
     let r = p.Partition.owner.(c) in
     owned.(r) <- c :: owned.(r);
     let foreign =
-      Array.to_list m.cells_on_cell.(c)
+      Array.sub csr.cell_neighbors csr.cell_offsets.(c) m.n_edges_on_cell.(c)
+      |> Array.to_list
       |> List.filter (fun c' -> p.Partition.owner.(c') <> r)
     in
     if foreign <> [] then begin
@@ -44,7 +46,7 @@ let build (m : Mesh.t) (p : Partition.t) =
 (* Interior/boundary decomposition of the owned cells, keyed by halo
    depth: the frontier is every owned cell with a foreign neighbour,
    and the boundary widens from it by (depth - 1) hops of
-   cells_on_cell — a BFS over owned cells only.  Interior cells are
+   cell_neighbors — a BFS over owned cells only.  Interior cells are
    therefore at least [depth] hops from any foreign cell, so a
    depth-[d] stencil sweep restricted to interior cells reads no ghost
    value: the transfer-overlap split of the paper's SS IV (compute the
@@ -55,11 +57,12 @@ let interior_boundary (m : Mesh.t) (p : Partition.t) ~depth =
   (* hops.(c) = BFS distance from the frontier within the owner's
      patch; max_int = farther than [depth - 1] (interior). *)
   let hops = Array.make m.n_cells max_int in
+  let csr = m.csr in
   let frontier = ref [] in
   for c = m.n_cells - 1 downto 0 do
     let foreign = ref false in
-    for j = 0 to m.n_edges_on_cell.(c) - 1 do
-      if owner.(m.cells_on_cell.(c).(j)) <> owner.(c) then foreign := true
+    for j = csr.cell_offsets.(c) to csr.cell_offsets.(c + 1) - 1 do
+      if owner.(csr.cell_neighbors.(j)) <> owner.(c) then foreign := true
     done;
     if !foreign then begin
       hops.(c) <- 0;
@@ -71,8 +74,8 @@ let interior_boundary (m : Mesh.t) (p : Partition.t) ~depth =
     let next = ref [] in
     List.iter
       (fun c ->
-        for j = 0 to m.n_edges_on_cell.(c) - 1 do
-          let c' = m.cells_on_cell.(c).(j) in
+        for j = csr.cell_offsets.(c) to csr.cell_offsets.(c + 1) - 1 do
+          let c' = csr.cell_neighbors.(j) in
           if owner.(c') = owner.(c) && hops.(c') > d then begin
             hops.(c') <- d;
             next := c' :: !next

@@ -19,7 +19,7 @@ val build : Mesh.t -> Partition.t -> rank_halo array
 
 (** [interior_boundary m p ~depth] splits each rank's owned cells into
     (interior, boundary) index arrays, both sorted ascending.  The
-    boundary is every owned cell within [depth - 1] cells_on_cell hops
+    boundary is every owned cell within [depth - 1] cell_neighbors hops
     of the rank's frontier (owned cells with a foreign neighbour); the
     interior is the rest, so a depth-[depth] stencil sweep over
     interior cells touches no ghost cell — the decomposition behind

@@ -121,8 +121,8 @@ let bfs (m : Mesh.t) ~n_parts =
         if counts.(r) < quota r && not (Queue.is_empty queues.(r)) then begin
           let c = Queue.pop queues.(r) in
           let grew = ref false in
-          for j = 0 to m.n_edges_on_cell.(c) - 1 do
-            let c' = m.cells_on_cell.(c).(j) in
+          for j = m.csr.cell_offsets.(c) to m.csr.cell_offsets.(c + 1) - 1 do
+            let c' = m.csr.cell_neighbors.(j) in
             if claim r c' then begin
               decr remaining;
               progressed := true;
@@ -167,8 +167,8 @@ let imbalance t =
 let edge_cut (m : Mesh.t) t =
   let cut = ref 0 in
   for e = 0 to m.n_edges - 1 do
-    let ce = m.cells_on_edge.(e) in
-    if t.owner.(ce.(0)) <> t.owner.(ce.(1)) then incr cut
+    let ec = m.csr.edge_cells in
+    if t.owner.(ec.(2 * e)) <> t.owner.(ec.((2 * e) + 1)) then incr cut
   done;
   !cut
 

@@ -26,7 +26,9 @@ let stats_of_mesh (m : Mpas_mesh.Mesh.t) =
     n_edges = m.n_edges;
     n_vertices = m.n_vertices;
     mean_edges_per_cell = mean m.n_edges_on_cell;
-    mean_edges_on_edge = mean m.n_edges_on_edge;
+    mean_edges_on_edge =
+      (let o = m.csr.eoe_offsets in
+       mean (Array.init m.n_edges (fun e -> o.(e + 1) - o.(e))));
   }
 
 let table3_meshes =

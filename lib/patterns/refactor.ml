@@ -10,19 +10,21 @@ let pfor pool lo hi f =
   | Some p -> Pool.parallel_for p ~lo ~hi f
 
 let edge_to_cell_scatter (m : Mesh.t) ~x ~y =
+  let ec = m.csr.edge_cells in
   Array.fill y 0 m.n_cells 0.;
   for e = 0 to m.n_edges - 1 do
-    let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+    let c1 = ec.(2 * e) and c2 = ec.((2 * e) + 1) in
     y.(c1) <- y.(c1) +. x.(e);
     y.(c2) <- y.(c2) -. x.(e)
   done
 
 let edge_to_cell_gather ?pool (m : Mesh.t) ~x ~y =
+  let csr = m.csr in
   pfor pool 0 m.n_cells (fun c ->
       let acc = ref 0. in
-      for j = 0 to m.n_edges_on_cell.(c) - 1 do
-        let e = m.edges_on_cell.(c).(j) in
-        if c = m.cells_on_edge.(e).(0) then acc := !acc +. x.(e)
+      for j = csr.cell_offsets.(c) to csr.cell_offsets.(c + 1) - 1 do
+        let e = csr.cell_edges.(j) in
+        if c = csr.edge_cells.(2 * e) then acc := !acc +. x.(e)
         else acc := !acc -. x.(e)
       done;
       y.(c) <- !acc)
@@ -30,16 +32,19 @@ let edge_to_cell_gather ?pool (m : Mesh.t) ~x ~y =
 type label_matrix = float array array
 
 let label_matrix (m : Mesh.t) =
+  let csr = m.csr in
   Array.init m.n_cells (fun c ->
+      let o = csr.cell_offsets.(c) in
       Array.init m.n_edges_on_cell.(c) (fun j ->
-          if c = m.cells_on_edge.(m.edges_on_cell.(c).(j)).(0) then 1. else -1.))
+          if c = csr.edge_cells.(2 * csr.cell_edges.(o + j)) then 1. else -1.))
 
 let edge_to_cell_branch_free ?pool (m : Mesh.t) l ~x ~y =
+  let csr = m.csr in
   pfor pool 0 m.n_cells (fun c ->
       let acc = ref 0. in
-      let labels = l.(c) and edges = m.edges_on_cell.(c) in
+      let labels = l.(c) and o = csr.cell_offsets.(c) in
       for j = 0 to m.n_edges_on_cell.(c) - 1 do
-        acc := !acc +. (labels.(j) *. x.(edges.(j)))
+        acc := !acc +. (labels.(j) *. x.(csr.cell_edges.(o + j)))
       done;
       y.(c) <- !acc)
 
@@ -48,7 +53,7 @@ let edge_to_cell_branch_free ?pool (m : Mesh.t) l ~x ~y =
    [label_matrix] entry for entry) next to the packed edge ids, so the
    branch-free loop walks flat arrays with unit stride. *)
 let edge_to_cell_csr ?pool (m : Mesh.t) ~x ~y =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   if Array.length x < m.n_edges then
     invalid_arg "Refactor.edge_to_cell_csr: x shorter than n_edges";
   if Array.length y < m.n_cells then

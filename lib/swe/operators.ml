@@ -39,7 +39,7 @@ let iter pool ?on n f =
       done)
 
 (* The CSR kernels index caller-provided fields with [Array.unsafe_get];
-   the mesh side is validated once by [Mesh.csr], the field side here. *)
+   the mesh side is validated once by [Mesh.make], the field side here. *)
 let check_len kernel name a n =
   if Array.length a < n then
     invalid_arg
@@ -80,7 +80,7 @@ let[@inline always] d2fdx2_at cell_offsets cell_edges cell_neighbors dv_edge
   !acc /. Array.unsafe_get area_cell c
 
 let d2fdx2 ?pool ?on (m : Mesh.t) ~h ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_lens "d2fdx2" m.n_cells [ ("h", h); ("out", out) ];
   check_on "d2fdx2" on m.n_cells;
   let cell_offsets = csr.cell_offsets
@@ -96,8 +96,9 @@ let d2fdx2 ?pool ?on (m : Mesh.t) ~h ~out =
 
 let d2fdx2_scatter (m : Mesh.t) ~h ~out =
   Array.fill out 0 m.n_cells 0.;
+  let ec = m.csr.edge_cells in
   for e = 0 to m.n_edges - 1 do
-    let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+    let c1 = ec.(2 * e) and c2 = ec.((2 * e) + 1) in
     let flux = m.dv_edge.(e) *. (h.(c2) -. h.(c1)) /. m.dc_edge.(e) in
     out.(c1) <- out.(c1) +. (flux /. m.area_cell.(c1));
     out.(c2) <- out.(c2) -. (flux /. m.area_cell.(c2))
@@ -117,7 +118,7 @@ let[@inline always] h_edge_at fourth edge_cells dc_edge h d2fdx2_cell e =
   else mean
 
 let h_edge ?pool ?on (m : Mesh.t) ~order ~h ~d2fdx2_cell ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   let fourth = (order : Config.h_adv_order) = Config.Fourth in
   check_len "h_edge" "h" h m.n_cells;
   if fourth then check_len "h_edge" "d2fdx2_cell" d2fdx2_cell m.n_cells;
@@ -146,7 +147,7 @@ let[@inline always] kinetic_energy_at cell_offsets cell_edges dc_edge dv_edge
   !acc /. Array.unsafe_get area_cell c
 
 let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "kinetic_energy" "u" u m.n_edges;
   check_len "kinetic_energy" "out" out m.n_cells;
   check_on "kinetic_energy" on m.n_cells;
@@ -161,8 +162,9 @@ let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
 
 let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_cells 0.;
+  let ec = m.csr.edge_cells in
   for e = 0 to m.n_edges - 1 do
-    let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+    let c1 = ec.(2 * e) and c2 = ec.((2 * e) + 1) in
     let contrib = 0.25 *. m.dc_edge.(e) *. m.dv_edge.(e) *. u.(e) *. u.(e) in
     out.(c1) <- out.(c1) +. (contrib /. m.area_cell.(c1));
     out.(c2) <- out.(c2) +. (contrib /. m.area_cell.(c2))
@@ -183,7 +185,7 @@ let[@inline always] divergence_at cell_offsets cell_edges cell_edge_signs
   !acc /. Array.unsafe_get area_cell c
 
 let divergence ?pool ?on (m : Mesh.t) ~u ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "divergence" "u" u m.n_edges;
   check_len "divergence" "out" out m.n_cells;
   check_on "divergence" on m.n_cells;
@@ -200,8 +202,9 @@ let divergence ?pool ?on (m : Mesh.t) ~u ~out =
 
 let divergence_scatter (m : Mesh.t) ~u ~out =
   Array.fill out 0 m.n_cells 0.;
+  let ec = m.csr.edge_cells in
   for e = 0 to m.n_edges - 1 do
-    let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+    let c1 = ec.(2 * e) and c2 = ec.((2 * e) + 1) in
     let flux = u.(e) *. m.dv_edge.(e) in
     out.(c1) <- out.(c1) +. (flux /. m.area_cell.(c1));
     out.(c2) <- out.(c2) -. (flux /. m.area_cell.(c2))
@@ -221,7 +224,7 @@ let[@inline always] vorticity_at vertex_edges vertex_edge_signs dc_edge
   !acc /. Array.unsafe_get area_triangle v
 
 let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "vorticity" "u" u m.n_edges;
   check_len "vorticity" "out" out m.n_vertices;
   check_on "vorticity" on m.n_vertices;
@@ -236,18 +239,22 @@ let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
       done)
 
 let vorticity_scatter (m : Mesh.t) ~u ~out =
+  let csr = m.csr in
   Array.fill out 0 m.n_vertices 0.;
   for e = 0 to m.n_edges - 1 do
     (* The edge's circulation contribution is +u dc along the normal
        direction; find its sign for each adjacent vertex. *)
     let circ = u.(e) *. m.dc_edge.(e) in
-    Array.iter
-      (fun v ->
-        let k = Mesh_index.local_index m.edges_on_vertex.(v) e in
-        out.(v) <-
-          out.(v)
-          +. (m.edge_sign_on_vertex.(v).(k) *. circ /. m.area_triangle.(v)))
-      m.vertices_on_edge.(e)
+    for i = 2 * e to (2 * e) + 1 do
+      let v = csr.edge_vertices.(i) in
+      let k =
+        if csr.vertex_edges.(3 * v) = e then 3 * v
+        else if csr.vertex_edges.((3 * v) + 1) = e then (3 * v) + 1
+        else (3 * v) + 2
+      in
+      out.(v) <-
+        out.(v) +. (csr.vertex_edge_signs.(k) *. circ /. m.area_triangle.(v))
+    done
   done
 
 let[@inline always] h_vertex_at vertex_cells vertex_kite_areas area_triangle h
@@ -263,7 +270,7 @@ let[@inline always] h_vertex_at vertex_cells vertex_kite_areas area_triangle h
   !acc /. Array.unsafe_get area_triangle v
 
 let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "h_vertex" "h" h m.n_cells;
   check_len "h_vertex" "out" out m.n_vertices;
   check_on "h_vertex" on m.n_vertices;
@@ -294,7 +301,7 @@ let[@inline always] pv_cell_at cell_offsets cell_vertices cell_kite_areas
   !acc /. Array.unsafe_get area_cell c
 
 let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "pv_cell" "pv_vertex" pv_vertex m.n_vertices;
   check_len "pv_cell" "out" out m.n_cells;
   check_on "pv_cell" on m.n_cells;
@@ -311,12 +318,13 @@ let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
 
 let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
   Array.fill out 0 m.n_cells 0.;
+  let csr = m.csr in
   for v = 0 to m.n_vertices - 1 do
-    for k = 0 to 2 do
-      let c = m.cells_on_vertex.(v).(k) in
+    for k = 3 * v to (3 * v) + 2 do
+      let c = csr.vertex_cells.(k) in
       out.(c) <-
         out.(c)
-        +. (m.kite_areas_on_vertex.(v).(k) *. pv_vertex.(v) /. m.area_cell.(c))
+        +. (csr.vertex_kite_areas.(k) *. pv_vertex.(v) /. m.area_cell.(c))
     done
   done
 
@@ -334,7 +342,7 @@ let[@inline always] tangential_velocity_at eoe_offsets eoe_edges eoe_weights u
   !acc
 
 let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_lens "tangential_velocity" m.n_edges [ ("u", u); ("out", out) ];
   check_on "tangential_velocity" on m.n_edges;
   let eoe_offsets = csr.eoe_offsets
@@ -360,7 +368,7 @@ let[@inline always] grad_t_at edge_vertices dv_edge x e =
   /. Array.unsafe_get dv_edge e
 
 let grad_pv ?pool ?on (m : Mesh.t) ~pv_cell ~pv_vertex ~out_n ~out_t =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "grad_pv" "pv_cell" pv_cell m.n_cells;
   check_len "grad_pv" "pv_vertex" pv_vertex m.n_vertices;
   check_lens "grad_pv" m.n_edges [ ("out_n", out_n); ("out_t", out_t) ];
@@ -387,7 +395,7 @@ let[@inline always] pv_edge_at edge_vertices pv_vertex ~apvm_factor ~dt ~u
 
 let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
     ~grad_pv_t ~u ~v_tangential ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "pv_edge" "pv_vertex" pv_vertex m.n_vertices;
   check_lens "pv_edge" m.n_edges
     [ ("grad_pv_n", grad_pv_n); ("grad_pv_t", grad_pv_t); ("u", u);
@@ -422,7 +430,7 @@ let[@inline always] tend_h_at cell_offsets cell_edges cell_edge_signs dv_edge
   -.(!acc) /. Array.unsafe_get area_cell c
 
 let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_lens "tend_h" m.n_edges [ ("h_edge", h_edge); ("u", u) ];
   check_len "tend_h" "out" out m.n_cells;
   check_on "tend_h" on m.n_cells;
@@ -439,8 +447,9 @@ let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
 
 let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
   Array.fill out 0 m.n_cells 0.;
+  let ec = m.csr.edge_cells in
   for e = 0 to m.n_edges - 1 do
-    let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+    let c1 = ec.(2 * e) and c2 = ec.((2 * e) + 1) in
     let flux = h_edge.(e) *. u.(e) *. m.dv_edge.(e) in
     out.(c1) <- out.(c1) -. (flux /. m.area_cell.(c1));
     out.(c2) <- out.(c2) +. (flux /. m.area_cell.(c2))
@@ -488,7 +497,7 @@ let[@inline always] tend_u_at pv_average eoe_offsets eoe_edges eoe_weights
 
 let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
     ~b ~ke ~h_edge ~u ~pv_edge ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_lens "tend_u" m.n_cells [ ("h", h); ("b", b); ("ke", ke) ];
   check_lens "tend_u" m.n_edges
     [ ("h_edge", h_edge); ("u", u); ("pv_edge", pv_edge); ("out", out) ];
@@ -515,7 +524,7 @@ let[@inline always] laplacian_at edge_cells edge_vertices dc_edge dv_edge
 
 let dissipation ?pool ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
   if visc2 <> 0. then begin
-    let csr : Mesh.csr = Mesh.csr m in
+    let csr = m.Mesh.csr in
     check_len "dissipation" "divergence" divergence m.n_cells;
     check_len "dissipation" "vorticity" vorticity m.n_vertices;
     check_len "dissipation" "tend_u" tend_u m.n_edges;
@@ -605,7 +614,7 @@ let[@inline always] tracer_edge_at scheme edge_cells tracer u e =
       else Array.unsafe_get tracer c2
 
 let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "tracer_edge" "tracer" tracer m.n_cells;
   check_lens "tracer_edge" m.n_edges [ ("u", u); ("out", out) ];
   check_on "tracer_edge" on m.n_edges;
@@ -631,7 +640,7 @@ let[@inline always] tend_tracer_at cell_offsets cell_edges cell_edge_signs
   -.(!acc) /. Array.unsafe_get area_cell c
 
 let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_lens "tend_tracer" m.n_edges
     [ ("h_edge", h_edge); ("u", u); ("tracer_edge", tracer_edge) ];
   check_len "tend_tracer" "out" out m.n_cells;
@@ -649,15 +658,16 @@ let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
 
 let tend_tracer_scatter (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   Array.fill out 0 m.n_cells 0.;
+  let ec = m.csr.edge_cells in
   for e = 0 to m.n_edges - 1 do
-    let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
+    let c1 = ec.(2 * e) and c2 = ec.((2 * e) + 1) in
     let flux = h_edge.(e) *. tracer_edge.(e) *. u.(e) *. m.dv_edge.(e) in
     out.(c1) <- out.(c1) -. (flux /. m.area_cell.(c1));
     out.(c2) <- out.(c2) +. (flux /. m.area_cell.(c2))
   done
 
 let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_len "velocity_laplacian" "divergence" divergence m.n_cells;
   check_len "velocity_laplacian" "vorticity" vorticity m.n_vertices;
   check_len "velocity_laplacian" "out" out m.n_edges;
@@ -673,7 +683,7 @@ let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
 
 let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
   if visc4 <> 0. then begin
-    let csr : Mesh.csr = Mesh.csr m in
+    let csr = m.Mesh.csr in
     check_len "del4_dissipation" "div_lap" div_lap m.n_cells;
     check_len "del4_dissipation" "vort_lap" vort_lap m.n_vertices;
     check_len "del4_dissipation" "tend_u" tend_u m.n_edges;
@@ -722,7 +732,7 @@ let[@inline always] accumulate_at accum publish coef t i =
   match publish with None -> () | Some state -> Array.unsafe_set state i a
 
 let tend_h_chain ?pool (m : Mesh.t) ~h_edge ~u ~out ~x4 ~on =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_on "tend_h_chain" (Some on) m.n_cells;
   check_lens "tend_h_chain" m.n_edges [ ("h_edge", h_edge); ("u", u) ];
   check_len "tend_h_chain" "out" out m.n_cells;
@@ -745,7 +755,7 @@ let tend_h_chain ?pool (m : Mesh.t) ~h_edge ~u ~out ~x4 ~on =
 
 let tend_u_chain ?pool (m : Mesh.t) ~pv_average ~gravity ~h ~b ~ke ~h_edge ~u
     ~pv_edge ~out ~dissip ~drag ~boundary ~x5 ~on =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_on "tend_u_chain" (Some on) m.n_edges;
   check_lens "tend_u_chain" m.n_cells [ ("h", h); ("b", b); ("ke", ke) ];
   check_lens "tend_u_chain" m.n_edges
@@ -788,7 +798,7 @@ let tend_u_chain ?pool (m : Mesh.t) ~pv_average ~gravity ~h ~b ~ke ~h_edge ~u
 
 let diag_cells_chain ?pool (m : Mesh.t) ~h ~u ~d2 ~ke_out ~div_out ~x4 ~tend_h
     ~on =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_on "diag_cells_chain" (Some on) m.n_cells;
   check_len "diag_cells_chain" "h" h m.n_cells;
   check_len "diag_cells_chain" "u" u m.n_edges;
@@ -831,7 +841,7 @@ let diag_cells_chain ?pool (m : Mesh.t) ~h ~u ~d2 ~ke_out ~div_out ~x4 ~tend_h
 
 let diag_edges_chain ?pool (m : Mesh.t) ~order ~h ~d2fdx2_cell ~h_edge_out ~g
     ~x5 ~tend_u ~on =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   let fourth = (order : Config.h_adv_order) = Config.Fourth in
   check_on "diag_edges_chain" (Some on) m.n_edges;
   check_len "diag_edges_chain" "h" h m.n_cells;
@@ -866,7 +876,7 @@ let diag_edges_chain ?pool (m : Mesh.t) ~order ~h ~d2fdx2_cell ~h_edge_out ~g
       done)
 
 let vortex_chain ?pool (m : Mesh.t) ~u ~h ~vort_out ~hv_out ~pv_out ~on =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_on "vortex_chain" (Some on) m.n_vertices;
   check_len "vortex_chain" "u" u m.n_edges;
   check_len "vortex_chain" "h" h m.n_cells;
@@ -904,7 +914,7 @@ let vortex_chain ?pool (m : Mesh.t) ~u ~h ~vort_out ~hv_out ~pv_out ~on =
 
 let pv_edge_chain ?pool (m : Mesh.t) ~g ~pv_cell ~pv_vertex ~gn_out ~gt_out ~f
     ~on =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   check_on "pv_edge_chain" (Some on) m.n_edges;
   check_len "pv_edge_chain" "pv_cell" pv_cell m.n_cells;
   check_len "pv_edge_chain" "pv_vertex" pv_vertex m.n_vertices;

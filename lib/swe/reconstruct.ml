@@ -51,7 +51,7 @@ let check_table t csr =
 (* A4 when [a4], X6 when [x6], over the full cell range or the span
    set [on] — the runtime's A4 [+X6] chain is this sweep on its tile. *)
 let sweep ?pool ?on t (m : Mesh.t) ~u ~out ~a4 ~x6 =
-  let csr : Mesh.csr = Mesh.csr m in
+  let csr = m.Mesh.csr in
   if a4 then check_u m u;
   check_table t csr;
   Option.iter (fun s -> Span.within "Reconstruct" s m.n_cells) on;

@@ -185,7 +185,7 @@ let copy_csr (c : Mesh.csr) =
 
 let test_bounds_out_of_range () =
   let m = Lazy.force hex in
-  let bad = copy_csr (Mesh.csr m) in
+  let bad = copy_csr (m.Mesh.csr) in
   bad.Mesh.cell_edges.(0) <- m.Mesh.n_edges;
   let refuted = Bounds.refuted (Bounds.audit ~csr:bad m) in
   Alcotest.(check bool) "some sites refuted" true (refuted <> []);
@@ -216,7 +216,7 @@ let test_bounds_out_of_range () =
 
 let test_bounds_offsets_drift () =
   let m = Lazy.force hex in
-  let bad = copy_csr (Mesh.csr m) in
+  let bad = copy_csr (m.Mesh.csr) in
   let n = Array.length bad.Mesh.eoe_offsets in
   bad.Mesh.eoe_offsets.(n - 1) <- bad.Mesh.eoe_offsets.(n - 1) + 1;
   let refuted = Bounds.refuted (Bounds.audit ~csr:bad m) in

@@ -655,29 +655,32 @@ let prop_interior_stencils_read_no_ghost =
           let own_c c = x.Exchange.cell_owner.(c) = r in
           let own_e e = x.Exchange.edge_owner.(e) = r in
           let own_v v = x.Exchange.vertex_owner.(v) = r in
+          let csr = m.csr in
+          let all own table lo hi =
+            let ok = ref true in
+            for j = lo to hi - 1 do
+              if not (own table.(j)) then ok := false
+            done;
+            !ok
+          in
           Array.for_all
             (fun c ->
-              let ok = ref true in
-              for j = 0 to m.n_edges_on_cell.(c) - 1 do
-                if
-                  not
-                    (own_e m.edges_on_cell.(c).(j)
-                    && own_c m.cells_on_cell.(c).(j)
-                    && own_v m.vertices_on_cell.(c).(j))
-                then ok := false
-              done;
-              !ok)
+              let lo = csr.cell_offsets.(c) and hi = csr.cell_offsets.(c + 1) in
+              all own_e csr.cell_edges lo hi
+              && all own_c csr.cell_neighbors lo hi
+              && all own_v csr.cell_vertices lo hi)
             (Span.to_array sp.Exchange.int_cells)
           && Array.for_all
                (fun e ->
-                 Array.for_all own_c m.cells_on_edge.(e)
-                 && Array.for_all own_v m.vertices_on_edge.(e)
-                 && Array.for_all own_e m.edges_on_edge.(e))
+                 all own_c csr.edge_cells (2 * e) ((2 * e) + 2)
+                 && all own_v csr.edge_vertices (2 * e) ((2 * e) + 2)
+                 && all own_e csr.eoe_edges csr.eoe_offsets.(e)
+                      csr.eoe_offsets.(e + 1))
                (Span.to_array sp.Exchange.int_edges)
           && Array.for_all
                (fun v ->
-                 Array.for_all own_e m.edges_on_vertex.(v)
-                 && Array.for_all own_c m.cells_on_vertex.(v))
+                 all own_e csr.vertex_edges (3 * v) ((3 * v) + 3)
+                 && all own_c csr.vertex_cells (3 * v) ((3 * v) + 3))
                (Span.to_array sp.Exchange.int_vertices))
         splits)
 

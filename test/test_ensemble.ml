@@ -215,7 +215,7 @@ let test_rotated_member_shares_csr () =
   Alcotest.(check bool) "rotated member on its own record" false (mm == mesh e);
   Alcotest.(check bool) "own Coriolis" false
     (mm.Mesh.f_vertex = m.Mesh.f_vertex);
-  Alcotest.(check bool) "shared CSR" true (Mesh.csr mm == Mesh.csr (mesh e))
+  Alcotest.(check bool) "shared CSR" true (mm.Mesh.csr == (mesh e).Mesh.csr)
 
 (* --- failure isolation -------------------------------------------------- *)
 

@@ -116,13 +116,15 @@ let test_refactoring_forms_agree () =
 let test_label_matrix_is_edge_sign () =
   let m = Lazy.force mesh in
   let l = Refactor.labels (Refactor.label_matrix m) in
+  let csr = m.csr in
   let same = ref true in
   for c = 0 to m.n_cells - 1 do
     for j = 0 to m.n_edges_on_cell.(c) - 1 do
-      if l.(c).(j) <> m.edge_sign_on_cell.(c).(j) then same := false
+      if l.(c).(j) <> csr.cell_edge_signs.(csr.cell_offsets.(c) + j) then
+        same := false
     done
   done;
-  Alcotest.(check bool) "L = edge_sign_on_cell" true !same
+  Alcotest.(check bool) "L = cell_edge_signs" true !same
 
 let test_refactored_parallel_bitwise () =
   let m = Lazy.force mesh in
