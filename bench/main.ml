@@ -8,16 +8,16 @@
    2. micro-benchmarks of the real kernels and steps (the refactoring
       forms of Algorithms 2-4, the pattern instances, whole RK-4 steps
       per engine, the runtime, ensemble and serving layers), run on
-      this machine: Bechamel fits for the short kernels, the direct
-      interleaved timer below for the step-level groups.
+      this machine through one warmed, interleaved timer ([measure]):
+      every row is a median over [runs] samples with its quartiles.
 
    Modes:
    - no arguments: part 1 followed by part 2 and the
      measured-vs-roofline report;
    - [--json PATH]: micro-benchmarks only, dumped to PATH as a JSON
-     object with a "benchmarks" array (name, ns/run, number of raw
-     measurements, and for the directly timed groups the quartiles
-     "iqr_ns") and a "measured_vs_roofline" section joining a
+     object with a "benchmarks" array (name, median ns/run, number of
+     samples "runs", and the quartiles "iqr_ns") and a
+     "measured_vs_roofline" section joining a
      measured serial profile with the Costmodel roofline per kernel
      (pretty-print a saved dump with [bin/obs_report]);
    - [--trace FILE]: run one observed RK-4 step (domain pool engine)
@@ -25,9 +25,6 @@
      trace_event JSON to FILE (load in chrome://tracing);
    - [--smoke]: one iteration of every benchmark closure, no timing —
      wired to the [bench-smoke] dune alias as a cheap liveness check. *)
-
-open Bechamel
-open Toolkit
 
 (* --- part 1: the paper's tables and figures ------------------------------ *)
 
@@ -51,7 +48,7 @@ let () =
         Mpas_par.Pool.shutdown (Lazy.force bench_pool))
 
 (* Every micro-benchmark as (group, name, closure); the same list feeds
-   the Bechamel run, the JSON dump, and the smoke mode. *)
+   the timer, the JSON dump, and the smoke mode. *)
 let bench_cases () =
   let open Mpas_swe in
   let m = Lazy.force mesh in
@@ -305,52 +302,42 @@ let bench_cases () =
   in
   refactoring @ operators @ steps @ runtime @ ensemble @ serving
 
-let group_names cases =
-  List.fold_left
-    (fun acc (g, _, _) -> if List.mem g acc then acc else acc @ [ g ])
-    [] cases
+(* Every case is timed the same way.  A warmup (compile the task
+   program, fault the arrays in, settle the pool) sizes each case's
+   sample to a batch of calls lasting at least [min_sample_s], so a
+   microsecond kernel is not timed at the clock's resolution; then
+   [runs] samples per case give the median and quartiles.  [--runs]
+   raises the count.
 
-let tests_of_cases cases =
-  List.map
-    (fun g ->
-      Test.make_grouped ~name:g
-        (List.filter_map
-           (fun (g', name, fn) ->
-             if g' = g then Some (Test.make ~name (Staged.stage fn)) else None)
-           cases))
-    (group_names cases)
+   The cases are interleaved round-robin — every case's sample k
+   completes before any case's sample k+1 — so that slow drift in
+   machine load lands on all rows equally instead of penalizing
+   whichever variant happened to run during a spike. *)
+let min_sample_s = 1e-3
 
-(* The step-level groups are measured directly — Bechamel's 0.5 s
-   quota leaves only 2-3 raw samples behind a multi-millisecond step,
-   and an OLS fit through 2 points is a coin toss.  A fixed warmup
-   (compile the task program, fault the arrays in, settle the pool)
-   followed by [runs] individually-timed runs gives the median a real
-   sample to sit on.  [--runs] raises the count further.
-
-   The cases of a group are interleaved round-robin — every case's
-   run k completes before any case's run k+1 — so that slow drift in
-   machine load lands on all rows of an ablation equally instead of
-   penalizing whichever variant happened to run during a spike. *)
-let direct_groups =
-  [
-    "full RK-4 step";
-    "model setup";
-    "task runtime (dataflow DAG)";
-    "ensemble (member batching)";
-    "serving layer";
-  ]
-
-let measure_direct ~runs cases =
+let measure ~runs cases =
   let cases = Array.of_list cases in
   let n = Array.length cases in
-  Array.iter (fun (_, _, fn) -> for _ = 1 to 3 do fn () done) cases;
+  let time fn calls =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      fn ()
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let calls =
+    Array.map
+      (fun (_, _, fn) ->
+        let per_call = time fn 3 /. 3. in
+        let calls = Float.ceil (min_sample_s /. Float.max per_call 1e-9) in
+        max 1 (int_of_float calls))
+      cases
+  in
   let samples = Array.init n (fun _ -> Array.make runs 0.) in
   for k = 0 to runs - 1 do
     Array.iteri
       (fun i (_, _, fn) ->
-        let t0 = Unix.gettimeofday () in
-        fn ();
-        samples.(i).(k) <- (Unix.gettimeofday () -. t0) *. 1e9)
+        samples.(i).(k) <- time fn calls.(i) *. 1e9 /. float_of_int calls.(i))
       cases
   done;
   List.init n (fun i ->
@@ -364,52 +351,11 @@ let measure_direct ~runs cases =
         let hi = min (runs - 1) (lo + 1) in
         s.(lo) +. ((x -. float_of_int lo) *. (s.(hi) -. s.(lo)))
       in
-      ( group ^ "/" ^ name,
-        quantile 0.5,
-        runs,
-        Some (quantile 0.25, quantile 0.75) ))
-
-(* Run Bechamel on every group (the direct groups through the
-   warmup-and-median timer above) and return (name, ns/run, runs, iqr)
-   rows, where [runs] is the number of raw measurements behind the
-   estimate and [iqr] the quartiles of a directly timed row. *)
-let measure_all ~runs cases =
-  let bechamel_cases, direct_cases =
-    List.partition (fun (g, _, _) -> not (List.mem g direct_groups)) cases
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
-  (* Bind the two phases in sequence: [@]'s operand order is
-     unspecified, and the direct rows must not silently run first,
-     while the process is still faulting in the freshly built cases. *)
-  let bechamel_rows =
-    List.concat_map
-      (fun test ->
-        let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-        let results = Analyze.all ols Instance.monotonic_clock raw in
-        Hashtbl.fold
-          (fun name ols acc ->
-            let ns =
-              match Analyze.OLS.estimates ols with
-              | Some (t :: _) -> t
-              | _ -> nan
-            in
-            let runs =
-              match Hashtbl.find_opt raw name with
-              | Some (b : Benchmark.t) -> b.stats.samples
-              | None -> 0
-            in
-            (name, ns, runs, None) :: acc)
-          results []
-        |> List.sort compare)
-      (tests_of_cases bechamel_cases)
-  in
-  bechamel_rows @ measure_direct ~runs direct_cases
+      (group ^ "/" ^ name, quantile 0.5, runs, (quantile 0.25, quantile 0.75)))
 
 let print_rows rows =
-  print_endline "\n=== Bechamel micro-benchmarks (this machine) ===\n";
+  print_endline
+    "\n=== Micro-benchmarks (this machine; interleaved medians) ===\n";
   Printf.printf "%-55s %15s\n" "benchmark" "time/run";
   List.iter
     (fun (name, ns, _, _) ->
@@ -478,17 +424,14 @@ let write_json path rows report =
           Jsonv.Arr
             (List.map
                (fun (name, ns, runs, iqr) ->
+                 let q1, q3 = iqr in
                  Jsonv.Obj
-                   ([
-                      ("name", Jsonv.Str name);
-                      ("ns_per_run", Jsonv.Num ns);
-                      ("runs", Jsonv.Num (float_of_int runs));
-                    ]
-                   @
-                   match iqr with
-                   | Some (q1, q3) ->
-                       [ ("iqr_ns", Jsonv.Arr [ Jsonv.Num q1; Jsonv.Num q3 ]) ]
-                   | None -> []))
+                   [
+                     ("name", Jsonv.Str name);
+                     ("ns_per_run", Jsonv.Num ns);
+                     ("runs", Jsonv.Num (float_of_int runs));
+                     ("iqr_ns", Jsonv.Arr [ Jsonv.Num q1; Jsonv.Num q3 ]);
+                   ])
                rows) );
         ("measured_vs_roofline", Mpas_obs_report.Report.to_json report);
       ]
@@ -501,15 +444,14 @@ let write_json path rows report =
       output_string oc "\n");
   Printf.printf "wrote %d benchmark rows to %s\n" (List.length rows) path
 
-(* Smoke keeps runs at 2: every closure once, plus a second iteration
-   for the step-level groups — re-stepping the same model is what
+(* Smoke runs every closure twice — re-stepping the same model is what
    catches stale program caches and state-dependent bugs that a single
    run hides. *)
 let smoke cases =
   List.iter
     (fun (g, name, fn) ->
       fn ();
-      if List.mem g direct_groups then fn ();
+      fn ();
       Printf.printf "smoke ok: %s/%s\n" g name)
     cases
 
@@ -636,7 +578,7 @@ let () =
     Option.iter write_trace opts.trace_path;
     match opts.json_path with
     | Some path ->
-        let rows = measure_all ~runs:opts.runs (bench_cases ()) in
+        let rows = measure ~runs:opts.runs (bench_cases ()) in
         print_rows rows;
         let report = roofline_report () in
         print_endline "";
@@ -645,7 +587,7 @@ let () =
     | None ->
         if opts.trace_path = None then begin
           regenerate_experiments ();
-          print_rows (measure_all ~runs:opts.runs (bench_cases ()));
+          print_rows (measure ~runs:opts.runs (bench_cases ()));
           print_endline "";
           print_endline (Mpas_obs_report.Report.to_string (roofline_report ()))
         end
